@@ -2,7 +2,7 @@
 
 from .census import (CensusError, CensusResult, census_summary,
                      dimension_census, find_mstar, write_census_csv)
-from .embed import (kron, matrix_from_underline, null_space, overline,
+from .embed import (kernel, kron, matrix_from_underline, overline,
                     underline, unvec, vec)
 from .estimator import (ConstellationModel, CovarianceModel, EstimateReport,
                         SimulationConfig, ambiguity_matrix, decode,

@@ -13,10 +13,10 @@ import numpy as np
 
 from .census import CensusError, census_summary, find_mstar, write_census_csv
 from .estimator import (ConstellationModel, SimulationConfig, draw_channel,
-                        run_estimate, sample_R, simulate, top_eigen_gap)
+                        run_estimate)
 from .kyfan import KyFanError, SpectrumSpec, kyfan_sample_check
 from .ostbc import (BUILTIN_CODE_NAMES, CodeFormatError, CodeValidationError,
-                    builtin_code, load_code, realify, validate_code)
+                    builtin_code, load_code, validate_code)
 from .subspace import (AmbiguityStructureError, SubspaceError, compute_bspace,
                        compute_bstar, hr_basis, subspace_report)
 
@@ -115,8 +115,7 @@ def cmd_estimate(args):
     config = SimulationConfig(code, args.rx, constellation, args.blocks,
                               args.sigma2, args.seed)
     report = run_estimate(config, args.tol)
-    blocks, _, _ = simulate(config)
-    if top_eigen_gap(realify(code, args.rx), sample_R(blocks)) < 1e-10:
+    if report.eigen_gap < 1e-10:
         print("note: top eigenspace of the estimation matrix is degenerate; "
               "the reported estimate is one representative of it",
               file=sys.stderr)
@@ -131,7 +130,7 @@ def cmd_estimate(args):
         _write_json(payload, args.json)
     if args.dump_blocks:
         with open(args.dump_blocks, "w", encoding="utf-8") as fh:
-            for row in blocks:
+            for row in report.blocks:
                 fh.write(",".join(repr(float(x)) for x in row))
                 fh.write("\n")
     angle_deg = np.degrees(report.subspace_angle)

@@ -56,30 +56,28 @@ def kron(a, b):
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def null_space(m, rel_tol=1e-9):
+def kernel(m, rel_tol=1e-9):
     """Orthonormal basis of the numerical kernel of a real matrix.
 
-    Singular directions whose singular value falls below
-    ``rel_tol * sigma_max`` count as kernel. For the zero matrix the
-    full identity basis is returned.
+    Singular directions of one SVD whose singular value falls below
+    ``rel_tol * sigma_max`` count as kernel; a wide matrix needs the full
+    ``vh``, whose extra rows span the rest of the kernel. For the zero
+    matrix the full identity basis is returned.
 
     Args:
         m: real matrix, shape (r, n).
         rel_tol: relative singular-value threshold, must be positive.
 
     Returns:
-        Array of shape (n, k) with orthonormal columns spanning the kernel.
+        ``(basis, s)``: an (n, k) array with orthonormal columns spanning
+        the kernel, and the singular values of ``m`` in descending order.
     """
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    n = m.shape[1]
-    if m.size == 0:
-        return np.eye(n)
-    s = np.linalg.svd(m, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(n)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(s >= rel_tol * smax))
-    return vh[rank:].T.copy()
+    r, n = m.shape
+    _, s, vh = np.linalg.svd(m, full_matrices=r < n)
+    if not s.any():
+        return np.eye(n), s
+    rank = int(np.sum(s >= rel_tol * s[0]))
+    return vh[rank:].T.copy(), s

@@ -97,6 +97,8 @@ class EstimateReport:
     B_hat: np.ndarray       # extracted ambiguity matrix, (K, K)
     residual: float         # | A(h_hat) - A(h0/|h0|) B_hat |
     subspace_angle: float   # radians between h_hat and the lifted span
+    eigen_gap: float        # relative gap below the top Rayleigh eigenvalue
+    blocks: np.ndarray = field(repr=False)   # received blocks, (J, 2ML)
 
 
 def draw_channel(N, M, rng):
@@ -182,22 +184,19 @@ def _fix_vector_sign(v):
 def estimate_channel(rc, cov):
     """Unit-norm maximizer of tr{A(h)^T R A(h)} over normalized h.
 
-    Returns a dominant eigenvector of the Rayleigh matrix. When the top
-    eigenvalue is degenerate (a probability-zero event under the model)
-    any unit vector of the top eigenspace may come back; the returned
+    Returns ``(h_hat, gap)``: a dominant eigenvector of the Rayleigh
+    matrix and the relative gap between its two largest eigenvalues. The
+    top eigenvalue's multiplicity equals the dimension of the channel's
+    ambiguity space, so it is degenerate by structure whenever the code is
+    not identifiable; for the builtin codes at every M it is 4 for
+    alamouti, 2 for alamouti-k2 and real2, 1 for alamouti-k3 and scalar.
+    Any unit vector of that eigenspace may then come back; the returned
     vector's largest-magnitude entry is made positive for reproducibility.
     """
-    Q = rayleigh_matrix(rc, cov)
-    _, vecs = np.linalg.eigh(Q)
+    w, vecs = np.linalg.eigh(rayleigh_matrix(rc, cov))
     h = vecs[:, -1]
-    return _fix_vector_sign(h / np.linalg.norm(h))
-
-
-def top_eigen_gap(rc, cov):
-    """Relative gap between the two largest Rayleigh-matrix eigenvalues."""
-    w = np.linalg.eigvalsh(rayleigh_matrix(rc, cov))
-    scale = max(abs(w[-1]), 1e-300)
-    return float((w[-1] - w[-2]) / scale)
+    gap = (w[-1] - w[-2]) / max(abs(w[-1]), 1e-300)
+    return _fix_vector_sign(h / np.linalg.norm(h)), float(gap)
 
 
 def decode(rc, h_hat, y):
@@ -258,10 +257,10 @@ def run_estimate(config, tol=1e-9):
     blocks, _, channel = simulate(config)
     rc = realify(config.code, config.M)
     cov = sample_R(blocks)
-    h_hat = estimate_channel(rc, cov)
+    h_hat, gap = estimate_channel(rc, cov)
     s_hat = decode(rc, h_hat, blocks)
     B_hat, residual = ambiguity_matrix(rc, channel.h0, h_hat)
     sub = compute_bspace(config.code, channel, tol, seed=config.seed)
     q = lifted_basis(rc, channel, sub)
     angle = vector_subspace_angle(h_hat, q)
-    return EstimateReport(h_hat, s_hat, B_hat, residual, angle)
+    return EstimateReport(h_hat, s_hat, B_hat, residual, angle, gap, blocks)

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import underline
-
 
 def gamma_k(code, B, k):
     """Evaluate the k-th ambiguity block (0-based k) by the defining sums."""
@@ -54,14 +52,11 @@ def unit_gammas(code):
     K, L, N = code.K, code.L, code.N
     C = np.stack(code.C)                        # (K, L, N)
     CH = C.conj().transpose(0, 2, 1)            # (K, N, L)
-    out = np.empty((K * K, L * K, N), dtype=complex)
-    for p in range(K * K):
-        r, s = p % K, p // K
-        d_sr = CH[s] @ C[r]                     # (N, N)
-        blocks = (C @ d_sr) / K                 # (K, L, N)
-        blocks[s] -= C[r]
-        out[p] = blocks.reshape(L * K, N)
-    return out
+    d = CH[None] @ C[:, None]                   # d[r, s] = C_s^H C_r, (K, K, N, N)
+    blocks = (C[None, None] @ d[:, :, None]) / K   # [r, s, k], (K, K, K, L, N)
+    idx = np.arange(K)
+    blocks[:, idx, idx] -= C[:, None]           # [r, s, s] -= C_r
+    return blocks.transpose(1, 0, 2, 3, 4).reshape(K * K, L * K, N)
 
 
 @dataclass(frozen=True)
@@ -81,10 +76,10 @@ class GammaOperator:
 def gamma_operator(code):
     """Assemble the matrix of B -> stacked real embeddings of gamma blocks."""
     K, L, N = code.K, code.L, code.N
-    G = np.empty((2 * L * K * N, K * K))
-    for p, stacked in enumerate(unit_gammas(code)):
-        blocks = stacked.reshape(K, L, N)
-        G[:, p] = np.concatenate([underline(b) for b in blocks])
+    stacked = unit_gammas(code).reshape(K * K, K, L, N)
+    # Row order (k, column of the block, Re/Im, row): underline per block.
+    re_im = np.concatenate([stacked.real, stacked.imag], axis=2)
+    G = re_im.transpose(1, 3, 2, 0).reshape(2 * L * K * N, K * K)
     G.setflags(write=False)
     return GammaOperator(code, G)
 
@@ -98,9 +93,7 @@ def channel_kernel_matrix(code, H0):
     H0 = np.asarray(H0, dtype=complex)
     M = H0.shape[1]
     K, L = code.K, code.L
-    gam = unit_gammas(code)                     # (K^2, LK, N)
-    prods = gam @ H0                            # (K^2, LK, M)
-    out = np.empty((2 * L * K * M, K * K))
-    for p in range(K * K):
-        out[:, p] = underline(prods[p])
-    return out
+    prods = unit_gammas(code) @ H0              # (K^2, LK, M)
+    # Column p is underline(prods[p]): Re above Im, then column-major.
+    re_im = np.concatenate([prods.real, prods.imag], axis=1)
+    return re_im.transpose(2, 1, 0).reshape(2 * L * K * M, K * K)

@@ -10,6 +10,7 @@ so that the encoded block X(s) = sum_k s_k C_k obeys
 X(s)^H X(s) = |s|^2 I_N for every real symbol vector s.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -97,11 +98,16 @@ BUILTIN_CODE_NAMES = ("alamouti", "alamouti-k3", "alamouti-k2", "scalar", "real2
 
 def builtin_code(name):
     """Return a named builtin code; raises KeyError for unknown names."""
-    registry = _builtin_registry()
-    if name not in registry:
+    if name not in BUILTIN_CODE_NAMES:
         raise KeyError(
             f"unknown code {name!r}; builtin codes: {', '.join(BUILTIN_CODE_NAMES)}")
-    code = registry[name]
+    return _validated_builtin(name)
+
+
+# Codes are frozen with read-only matrices, so every caller can share one.
+@functools.lru_cache(maxsize=None)
+def _validated_builtin(name):
+    code = _builtin_registry()[name]
     report = validate_code(code, 1e-12)
     if not report.passed:
         raise CodeValidationError(f"builtin code {name!r} failed validation: {report}")

@@ -11,9 +11,8 @@ carry a basis {I} + Hurwitz-Radon family.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
-from .embed import null_space, vec
+from .embed import kernel, vec
 from .gamma import channel_kernel_matrix, gamma_operator
 
 
@@ -64,23 +63,21 @@ class AmbiguitySubspace:
 
 def _fix_sign(b, rel=1e-8):
     flat = b.ravel(order="C")
-    cutoff = rel * np.max(np.abs(flat))
-    for entry in flat:
-        if abs(entry) > cutoff:
-            return b if entry > 0 else -b
-    return b
+    first = flat[np.argmax(np.abs(flat) > rel * np.max(np.abs(flat)))]
+    return -b if first < 0 else b
 
 
-def _identity_first_basis(kernel, K):
-    """Rotate a kernel basis so I/sqrt(K) leads, rest Frobenius-orthonormal."""
-    dim = kernel.shape[1]
+def _identity_first(span, K, resid_tol, error):
+    """Identity-seeded Frobenius Gram-Schmidt of the columns of ``span``."""
+    dim = span.shape[1]
     u0 = vec(np.eye(K)) / np.sqrt(K)
-    resid = np.linalg.norm(u0 - kernel @ (kernel.T @ u0))
-    if resid > 1e-10:
-        raise SubspaceError(
-            f"identity not contained in the computed span (residual {resid:.3e})")
+    resid = np.linalg.norm(u0 - span @ (span.T @ u0))
+    if resid > resid_tol:
+        raise error(f"identity not in the subspace span (residual {resid:.3e})")
     taken = [u0]
-    for col in kernel.T:
+    for col in span.T:
+        if len(taken) == dim:
+            break
         w = col.copy()
         for _ in range(2):
             for b in taken:
@@ -88,28 +85,25 @@ def _identity_first_basis(kernel, K):
         nrm = np.linalg.norm(w)
         if nrm > 1e-6:
             taken.append(w / nrm)
-        if len(taken) == dim:
-            break
     if len(taken) != dim:
-        raise SubspaceError("orthonormalization lost kernel directions")
-    mats = [taken[0].reshape((K, K), order="F")]
-    mats += [_fix_sign(w.reshape((K, K), order="F")) for w in taken[1:]]
-    return tuple(m for m in mats)
+        raise error("orthonormalization lost subspace directions")
+    return taken
 
 
 def _kernel_subspace(op, code, tol, kind, M=None, channel=None, seed=None):
-    kernel = null_space(op, tol)
-    basis = _identity_first_basis(kernel, code.K)
-    smax = np.linalg.svd(op, compute_uv=False)[0] if op.size else 0.0
+    vecs, s = kernel(op, tol)
+    mats = [w.reshape((code.K, code.K), order="F")
+            for w in _identity_first(vecs, code.K, 1e-10, SubspaceError)]
+    basis = (mats[0], *map(_fix_sign, mats[1:]))
+    scale = tol * max(s[0], 1.0)
     for b in basis:
         residual = np.linalg.norm(op @ vec(b))
-        if residual > tol * max(smax, 1.0):
+        if residual > scale:
             raise SubspaceError(
                 f"basis element leaves kernel residual {residual:.3e} "
-                f"above tol*scale {tol * max(smax, 1.0):.3e}")
-    for b in basis:
+                f"above tol*scale {scale:.3e}")
         b.setflags(write=False)
-    return AmbiguitySubspace(code, kind, M, kernel.shape[1], basis, tol,
+    return AmbiguitySubspace(code, kind, M, len(basis), basis, tol,
                              channel=channel, seed=seed)
 
 
@@ -192,22 +186,8 @@ def hr_basis(sub):
     signals a numerically corrupted subspace.
     """
     K = sub.code.K
-    u0 = vec(np.eye(K)) / np.sqrt(K)
-    cols = [vec(b) for b in sub.basis]
-    span = np.column_stack(cols)
-    resid = np.linalg.norm(u0 - span @ (span.T @ u0))
-    if resid > 1e-8:
-        raise AmbiguityStructureError(
-            f"identity not in subspace span (residual {resid:.3e})")
-    taken = [u0]
-    for col in cols:
-        w = col.copy()
-        for _ in range(2):
-            for b in taken:
-                w -= (b @ w) * b
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-6:
-            taken.append(w / nrm)
+    span = np.column_stack([vec(b) for b in sub.basis])
+    taken = _identity_first(span, K, 1e-8, AmbiguityStructureError)
     family = []
     for w in taken[1:]:
         b = w.reshape((K, K), order="F")
@@ -249,11 +229,34 @@ def check_pure_rotation(B, tol=1e-8):
     return c, bool(dev <= tol * c and np.linalg.det(B) > 0)
 
 
+def _orth(a):
+    """Orthonormal basis of the column space of ``a`` from a thin SVD."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    cut = np.finfo(float).eps * max(a.shape) * s[0]
+    # Fortran order, as LAPACK returns it, fixes the BLAS kernels of the
+    # products below and so the last bits of the angles.
+    return np.asfortranarray(u[:, :int(np.sum(s > cut))])
+
+
 def principal_angles(basis_a, basis_b):
-    """Principal angles (radians) between the spans of two matrix bases."""
-    qa = np.column_stack([vec(b) for b in basis_a])
-    qb = np.column_stack([vec(b) for b in basis_b])
-    return subspace_angles(qa, qb)
+    """Principal angles (radians) between the spans of two matrix bases.
+
+    Follows Knyazev and Argentati (2002): cosines from the singular values
+    of Qa^T Qb, and arcsines of the residual's singular values for angles
+    below pi/4, where the cosine loses precision. Returned in descending
+    order, as many as the smaller dimension.
+    """
+    qa = _orth(np.column_stack([vec(b) for b in basis_a]))
+    qb = _orth(np.column_stack([vec(b) for b in basis_b]))
+    cross = qa.T @ qb
+    sigma = np.linalg.svd(cross, compute_uv=False)
+    if qa.shape[1] >= qb.shape[1]:
+        resid = qb - qa @ cross
+    else:
+        resid = qa - qb @ cross.T
+    mu = np.arcsin(np.clip(np.linalg.svd(resid, compute_uv=False), -1.0, 1.0))
+    return np.where(sigma ** 2 >= 0.5, mu,
+                    np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
 
 
 def spans_match(basis_a, basis_b, angle_tol=1e-8):

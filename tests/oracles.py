@@ -2,8 +2,9 @@
 
 These deliberately take different computational routes than the package:
 the factored product form for the ambiguity blocks, explicit Kronecker
-products for the channel lift, and exact rational arithmetic (sympy) for
-kernel dimensions.
+products for the channel lift, exact rational arithmetic (sympy) for
+kernel dimensions, per-column loops for the assembled operators, and scipy
+for principal angles.
 """
 
 import numpy as np
@@ -27,6 +28,28 @@ def lift_kron(rc, h0, B):
     two_ml = rc.block_rows
     phi = rc.Phi_stacked
     return phi.T @ np.kron(np.asarray(B).T, np.eye(two_ml)) @ phi @ h0 / rc.code.K
+
+
+def unit_gammas_loop(code):
+    """Unit-matrix ambiguity stacks, one unit matrix E_rs at a time."""
+    K, L, N = code.K, code.L, code.N
+    C = np.stack(code.C)
+    out = np.empty((K * K, L * K, N), dtype=complex)
+    for p in range(K * K):
+        r, s = p % K, p // K
+        blocks = (C @ (C[s].conj().T @ C[r])) / K
+        blocks[s] -= C[r]
+        out[p] = blocks.reshape(L * K, N)
+    return out
+
+
+def scipy_principal_angles(basis_a, basis_b):
+    """Principal angles between the spans of two matrix bases, by scipy."""
+    from scipy.linalg import subspace_angles
+
+    qa = np.column_stack([np.ravel(b, order="F") for b in basis_a])
+    qb = np.column_stack([np.ravel(b, order="F") for b in basis_b])
+    return subspace_angles(qa, qb)
 
 
 def _sympy_code(code):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ostbc_blind
 from ostbc_blind import code_to_dict, builtin_code
 from ostbc_blind.cli import main
 
@@ -180,3 +185,15 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(ostbc_blind.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, ostbc_blind.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

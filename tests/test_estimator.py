@@ -170,7 +170,7 @@ class TestEstimateChannel:
         q = rayleigh_matrix(rc, cov)
         np.testing.assert_allclose(q, rc.Phi[0].T @ cov.R @ rc.Phi[0],
                                    rtol=0, atol=1e-14)
-        h = estimate_channel(rc, cov)
+        h, _ = estimate_channel(rc, cov)
         w, v = np.linalg.eigh(q)
         assert abs(abs(v[:, -1] @ h) - 1.0) <= 1e-12
 
@@ -195,7 +195,7 @@ class TestEstimateChannel:
         rc = realify(code, 2)
         ch = draw_channel(code.N, 2, rng)
         cov = theoretical_R(rc, ch.h0, ConstellationModel.iid_pm1(code.K), 0.0)
-        h = estimate_channel(rc, cov)
+        h, _ = estimate_channel(rc, cov)
         assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
         b, res = ambiguity_matrix(rc, ch.h0, h)
         assert res <= 1e-8
@@ -305,7 +305,7 @@ class TestRunEstimate:
         ch = draw_channel(code.N, 2, rng)
         cm = ConstellationModel.correlated(random_spd(rng, code.K))
         cov = theoretical_R(rc, ch.h0, cm, 0.2)
-        h = estimate_channel(rc, cov)
+        h, _ = estimate_channel(rc, cov)
         b, _ = ambiguity_matrix(rc, ch.h0, h)
         sub = compute_bspace(code, ch)
         span = np.column_stack([vec(x) for x in sub.basis])

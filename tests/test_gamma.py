@@ -6,7 +6,7 @@ from ostbc_blind import (build_A, builtin_code, channel_kernel_matrix,
                          gamma_operator, kron, lift_to_channel, overline,
                          realify, underline, unit_gammas, vec)
 
-from oracles import gamma_factored
+from oracles import gamma_factored, unit_gammas_loop
 
 
 class TestGammaBlocks:
@@ -106,6 +106,21 @@ class TestGammaOperator:
         recombined = np.tensordot(vec(b), gams, axes=(0, 0))
         np.testing.assert_allclose(recombined, gamma(code, b),
                                    rtol=0, atol=1e-12)
+
+
+class TestLoopFreeAssembly:
+    def test_bit_identical_to_column_loops(self, code, rng):
+        gams = unit_gammas_loop(code)
+        np.testing.assert_array_equal(unit_gammas(code), gams)
+        per_block = [g.reshape(code.K, code.L, code.N) for g in gams]
+        np.testing.assert_array_equal(
+            gamma_operator(code).G,
+            np.column_stack([np.concatenate([underline(b) for b in blocks])
+                             for blocks in per_block]))
+        ch = draw_channel(code.N, 3, rng)
+        np.testing.assert_array_equal(
+            channel_kernel_matrix(code, ch.H0),
+            np.column_stack([underline(g @ ch.H0) for g in gams]))
 
 
 class TestChannelKernelMatrix:

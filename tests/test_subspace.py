@@ -7,7 +7,7 @@ from ostbc_blind import (AmbiguityStructureError, AmbiguitySubspace, build_A,
                          lift_to_channel, principal_angles, realify, rho,
                          spans_match, vec)
 
-from oracles import lift_kron
+from oracles import lift_kron, scipy_principal_angles
 
 EXPECTED_BSTAR_DIM = {
     "alamouti": 4,
@@ -274,3 +274,42 @@ class TestPrincipalAngles:
     def test_detects_dimension_mismatch(self, alamouti):
         sub = compute_bstar(alamouti)
         assert not spans_match(sub.basis, sub.basis[:2])
+
+    @pytest.mark.parametrize("ka, kb", [(3, 3), (2, 5), (5, 2)])
+    @pytest.mark.parametrize("regime", ["random", "near-zero", "near-right"])
+    def test_matches_scipy_reference(self, rng, ka, kb, regime):
+        q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        a = q[:, :ka] @ rng.standard_normal((ka, ka))
+        b = {"random": rng.standard_normal((9, kb)),
+             "near-zero": q[:, :kb],
+             "near-right": q[:, ka:ka + kb]}[regime]
+        b = b + 1e-10 * rng.standard_normal((9, kb))
+        basis_a = [col.reshape(3, 3) for col in a.T]
+        basis_b = [col.reshape(3, 3) for col in b.T]
+        angles = principal_angles(basis_a, basis_b)
+        assert angles.shape == (min(ka, kb),)
+        if regime == "near-zero":
+            assert np.max(angles) <= 1e-8
+        if regime == "near-right":
+            assert np.min(angles) >= np.pi / 2 - 1e-8
+        np.testing.assert_allclose(
+            angles, scipy_principal_angles(basis_a, basis_b), rtol=0, atol=1e-14)
+
+
+class TestOneSvdPerKernel:
+    @pytest.mark.parametrize("M", [None, 1, 64])
+    def test_single_svd_call(self, code, rng, monkeypatch, M):
+        channel = None if M is None else draw_channel(code.N, M, rng)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        if channel is None:
+            compute_bstar(code)
+        else:
+            compute_bspace(code, channel)
+        assert len(calls) == 1, calls
