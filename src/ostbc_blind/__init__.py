@@ -2,8 +2,8 @@
 
 from .census import (CensusError, CensusResult, census_summary,
                      dimension_census, find_mstar, write_census_csv)
-from .embed import (kernel, kron, matrix_from_underline, overline,
-                    underline, unvec, vec)
+from .embed import (kernel, matrix_from_underline, overline, underline,
+                    unvec, vec)
 from .estimator import (ConstellationModel, CovarianceModel, EstimateReport,
                         SimulationConfig, ambiguity_matrix, decode,
                         draw_channel, estimate_channel, predicted_eigenvalues,

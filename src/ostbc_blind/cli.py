@@ -37,9 +37,50 @@ def _resolve_code(args, validate=True):
     return load_code(args.code_file, validate=validate)
 
 
+def _json_pieces(obj, level):
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces.
+
+    A list of finite floats comes out as one piece joined from their
+    ``float.__repr__``, which is what the json encoder writes for each;
+    keys, non-finite floats and other scalars go through ``json.dumps``.
+    Dictionary keys must be strings.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        sep = "{"
+        for key in sorted(obj):
+            yield f"{sep}\n{'  ' * (level + 1)}{json.dumps(key)}: "
+            yield from _json_pieces(obj[key], level + 1)
+            sep = ","
+        yield f"\n{'  ' * level}}}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = "\n" + "  " * (level + 1)
+        try:
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:   # an item that is not a float
+            text = None
+        # A finite float's repr holds no "n"; inf and nan need json's names.
+        if text is not None and "n" not in text:
+            yield f"[{inner}{text}\n{'  ' * level}]"
+            return
+        sep = "["
+        for item in obj:
+            yield sep + inner
+            yield from _json_pieces(item, level + 1)
+            sep = ","
+        yield f"\n{'  ' * level}]"
+    else:
+        yield json.dumps(obj)
+
+
 def _write_json(payload, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.writelines(_json_pieces(payload, 0))
         fh.write("\n")
 
 
@@ -120,9 +161,9 @@ def cmd_estimate(args):
               "the reported estimate is one representative of it",
               file=sys.stderr)
     payload = {
-        "h_hat": [float(x) for x in report.h_hat],
-        "s_hat": [[float(x) for x in row] for row in report.s_hat],
-        "B_hat": [[float(x) for x in row] for row in report.B_hat],
+        "h_hat": report.h_hat.tolist(),
+        "s_hat": report.s_hat.tolist(),
+        "B_hat": report.B_hat.tolist(),
         "residual": report.residual,
         "subspace_angle": report.subspace_angle,
     }

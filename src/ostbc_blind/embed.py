@@ -51,11 +51,6 @@ def overline(a):
     return np.block([[a.real, -a.imag], [a.imag, a.real]])
 
 
-def kron(a, b):
-    """Kronecker (tensor) product of two real matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def kernel(m, rel_tol=1e-9):
     """Orthonormal basis of the numerical kernel of a real matrix.
 

@@ -4,6 +4,8 @@ The received block in real coordinates is y = A(h0) s + w. The blind
 estimator maximizes tr{A(h)^T R A(h)} / |h|^2 over channel vectors h,
 which is a Rayleigh quotient: tr{A(h)^T R A(h)} = h^T (sum_k Phi_k^T R
 Phi_k) h, so the maximizer is the dominant eigenvector of that matrix.
+Phi_k = I_M (x) overline(C_k) is applied one receive antenna at a time
+and never formed.
 The estimate is reported unit-norm; the residual scalar factor is not
 resolved here, and all comparisons downstream are scale invariant.
 """
@@ -75,8 +77,11 @@ class SimulationConfig:
     def __post_init__(self):
         if self.J < 1:
             raise ValueError(f"block count must be >= 1, got {self.J}")
-        if self.sigma2 < 0:
-            raise ValueError(f"noise variance must be >= 0, got {self.sigma2}")
+        if self.M < 1:
+            raise ValueError(f"receive-antenna count must be >= 1, got {self.M}")
+        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValueError(
+                f"noise variance must be finite and >= 0, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,8 @@ class EstimateReport:
 
 def draw_channel(N, M, rng):
     """Channel with i.i.d. complex Gaussian entries, unit variance per entry."""
+    if M < 1:
+        raise ValueError(f"receive-antenna count must be >= 1, got {M}")
     H0 = (rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M)))
     H0 *= np.sqrt(0.5)
     return ChannelRealization.from_matrix(H0)
@@ -169,10 +176,17 @@ def rayleigh_matrix(rc, cov):
 
     Satisfies h^T Q h = tr{A(h)^T R A(h)} for every h, which reduces the
     trace maximization over normalized channel vectors to a symmetric
-    eigenproblem.
+    eigenproblem. With Phi_k = I_M (x) overline(C_k), the (m, m') block of
+    Q is the sum over k of c_k^T R_{mm'} c_k, where R_{mm'} is the 2L x 2L
+    block of R between receive antennas m and m'. The terms are added in
+    the order k = 0..K-1; for the builtin codes each c_k is a signed
+    permutation, so every term is exact and only that order can move a bit.
     """
-    phi = np.stack(rc.Phi)
-    Q = np.einsum("kia,ij,kjb->ab", phi, cov.R, phi, optimize=True)
+    M, two_l = rc.M, 2 * rc.code.L
+    R = cov.R.reshape(M, two_l, M * two_l)
+    Q = np.zeros((rc.channel_len, rc.channel_len))
+    for c in rc.blocks:
+        Q += ((c.T @ R).reshape(-1, two_l) @ c).reshape(Q.shape)
     return (Q + Q.T) / 2
 
 
@@ -190,8 +204,11 @@ def estimate_channel(rc, cov):
     ambiguity space, so it is degenerate by structure whenever the code is
     not identifiable; for the builtin codes at every M it is 4 for
     alamouti, 2 for alamouti-k2 and real2, 1 for alamouti-k3 and scalar.
-    Any unit vector of that eigenspace may then come back; the returned
-    vector's largest-magnitude entry is made positive for reproducibility.
+    Any unit vector of that eigenspace may then come back, and which one
+    depends on the last bits of the matrix, so on the order in which
+    :func:`rayleigh_matrix` sums its K terms; the ambiguity residual and
+    the subspace angle do not. The returned vector's largest-magnitude
+    entry is made positive for reproducibility.
     """
     w, vecs = np.linalg.eigh(rayleigh_matrix(rc, cov))
     h = vecs[:, -1]

@@ -138,30 +138,43 @@ class KyFanSampleReport:
     passed: bool
 
 
+# Stiefel draws per batch of the sample check: bounds its memory at
+# SAMPLE_CHUNK * m * q floats whatever the sample count.
+SAMPLE_CHUNK = 8192
+
+
 def kyfan_sample_check(spec, samples, seed, near_tol=1e-9, membership_tol=1e-8):
     """Sample random orthonormal-column matrices against the trace bound.
 
     Draws ``samples`` matrices, checks that no trace exceeds
     value + 1e-12 |P|, and that every sample within ``near_tol`` of the
     maximum passes the membership test. Violations raise
-    :class:`KyFanError`; the returned report carries the summary.
+    :class:`KyFanError`; the returned report carries the summary. The
+    draws come from one random stream in batches of :data:`SAMPLE_CHUNK`,
+    so the result does not depend on the batch size.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    batch = random_stiefel(rng, spec.m, spec.q, samples)
-    traces = np.einsum("nac,ab,nbc->n", batch, spec.P, batch, optimize=True)
     value = kyfan_value(spec)
     bound = value + 1e-12 * np.linalg.norm(spec.P)
-    max_trace = float(np.max(traces))
-    if max_trace > bound:
-        raise KyFanError(
-            f"sampled trace {max_trace:.15e} exceeds bound {bound:.15e}")
-    near = np.flatnonzero(traces >= value - near_tol)
-    for idx in near:
-        if not kyfan_membership(spec, batch[idx], membership_tol):
+    max_trace = -np.inf
+    n_near = 0
+    for start in range(0, samples, SAMPLE_CHUNK):
+        batch = random_stiefel(rng, spec.m, spec.q,
+                               min(SAMPLE_CHUNK, samples - start))
+        traces = np.einsum("nac,ab,nbc->n", batch, spec.P, batch,
+                           optimize=True)
+        max_trace = max(max_trace, float(np.max(traces)))
+        if max_trace > bound:
             raise KyFanError(
-                f"sample {idx} is within {near_tol} of the maximum but fails "
-                f"the maximizer characterization")
+                f"sampled trace {max_trace:.15e} exceeds bound {bound:.15e}")
+        near = np.flatnonzero(traces >= value - near_tol)
+        for idx in near:
+            if not kyfan_membership(spec, batch[idx], membership_tol):
+                raise KyFanError(
+                    f"sample {start + idx} is within {near_tol} of the maximum "
+                    f"but fails the maximizer characterization")
+        n_near += int(near.size)
     return KyFanSampleReport(spec.m, spec.q, samples, seed, value, float(bound),
-                             max_trace, int(near.size), True)
+                             max_trace, n_near, True)

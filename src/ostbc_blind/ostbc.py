@@ -57,6 +57,10 @@ class OstbCode:
     C: tuple = field(repr=False)
 
     def __post_init__(self):
+        if min(self.N, self.L, self.K) < 1:
+            raise CodeFormatError(
+                f"code {self.name!r} needs N, L, K >= 1, "
+                f"got N={self.N}, L={self.L}, K={self.K}")
         if self.K != len(self.C):
             raise CodeFormatError(
                 f"code {self.name!r} declares K={self.K} but has {len(self.C)} matrices")
@@ -119,10 +123,13 @@ def validate_code(code, tol):
 
     Returns a :class:`ValidationReport`; it passes iff both the unit
     self-products and the anti-commuting pair sums deviate by at most
-    ``tol`` in Frobenius norm.
+    ``tol`` in spectral norm. A code with a non-finite entry fails with
+    both deviations infinite.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not all(np.isfinite(c).all() for c in code.C):
+        return ValidationReport(code.name, np.inf, np.inf, tol)
     eye = np.eye(code.N)
     unit_err = 0.0
     pair_err = 0.0
@@ -168,17 +175,20 @@ class ChannelRealization:
 class RealifiedCode:
     """A code paired with a receive-antenna count, in real coordinates.
 
-    ``Phi[k]`` is the real 2ML x 2MN matrix I_M (x) overline(C_k); the
-    stacked form ``Phi_stacked`` puts all K of them on top of each other.
-    They inherit the code's orthogonality:
+    ``blocks[k]`` is the real 2L x 2N matrix overline(C_k). The channel
+    operator of the paper, Phi_k = I_M (x) overline(C_k), is never formed:
+    every receive antenna owns 2N consecutive entries of the channel
+    vector and 2L consecutive rows of a received block, and Phi_k applies
+    ``blocks[k]`` to each antenna alone. The storage therefore does not
+    grow with M. The blocks inherit the code's orthogonality, and so do
+    the Phi_k:
 
         Phi_k^T Phi_k = I_{2MN},  Phi_i^T Phi_j + Phi_j^T Phi_i = 0 (i != j)
     """
 
     code: OstbCode
     M: int
-    Phi: tuple = field(repr=False)           # K matrices, each (2ML, 2MN)
-    Phi_stacked: np.ndarray = field(repr=False)  # (2MLK, 2MN)
+    blocks: np.ndarray = field(repr=False)   # (K, 2L, 2N), read-only
 
     @property
     def block_rows(self):
@@ -192,28 +202,33 @@ class RealifiedCode:
 
 
 def realify(code, M):
-    """Build the real operators Phi_k = I_M (x) overline(C_k) for M antennas."""
+    """Pair a code with M receive antennas: the K blocks overline(C_k)."""
     if M < 1:
         raise ValueError(f"receive-antenna count must be >= 1, got {M}")
-    eye_m = np.eye(M)
-    phis = tuple(np.kron(eye_m, overline(c)) for c in code.C)
-    for p in phis:
-        p.setflags(write=False)
-    stacked = np.vstack(phis)
-    stacked.setflags(write=False)
-    return RealifiedCode(code, M, phis, stacked)
+    blocks = np.stack([overline(c) for c in code.C])
+    blocks.setflags(write=False)
+    return RealifiedCode(code, M, blocks)
+
+
+def _apply_phi(rc, h):
+    """The K vectors Phi_k h as the rows of a C-ordered (K, 2ML) array."""
+    h = np.asarray(h, dtype=float)
+    if h.shape != (rc.channel_len,):
+        raise ValueError(f"channel vector has shape {h.shape}, "
+                         f"expected ({rc.channel_len},)")
+    per_antenna = h.reshape(rc.M, 2 * rc.code.N)
+    return (per_antenna @ rc.blocks.transpose(0, 2, 1)).reshape(
+        rc.code.K, rc.block_rows)
 
 
 def build_A(rc, h):
     """Column-stack the K vectors Phi_k h into a 2ML x K matrix.
 
     For any h the result has orthogonal columns of squared norm |h|^2.
+    It is returned C-ordered, the layout the BLAS products downstream are
+    pinned to.
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (rc.channel_len,):
-        raise ValueError(f"channel vector has shape {h.shape}, "
-                         f"expected ({rc.channel_len},)")
-    return np.column_stack([p @ h for p in rc.Phi])
+    return np.ascontiguousarray(_apply_phi(rc, h).T)
 
 
 def code_to_dict(code):

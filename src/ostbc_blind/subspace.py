@@ -14,6 +14,7 @@ import numpy as np
 
 from .embed import kernel, vec
 from .gamma import channel_kernel_matrix, gamma_operator
+from .ostbc import _apply_phi
 
 
 class SubspaceError(RuntimeError):
@@ -142,23 +143,21 @@ def compute_bspace(code, channel, tol=1e-9, seed=None):
 def lift_to_channel(rc, h0, B):
     """Map an ambiguity matrix to its channel vector.
 
-    Computes Phi^T ((B^T (x) I) / K) Phi h0 without forming the Kronecker
-    product. For B in the ambiguity space of h0 the lifted vector h
-    satisfies A(h) = A(h0) B; restricted to that space the map is an
-    isometry up to the factor |h0|/sqrt(K).
+    Computes Phi^T ((B^T (x) I) / K) Phi h0 with Phi the stack of the
+    Phi_k = I_M (x) overline(C_k), forming neither Kronecker product: the
+    rows Phi_k h0 are mixed by B^T, and each mixed row goes back through
+    Phi_k^T one receive antenna at a time before the K terms are summed.
+    For B in the ambiguity space of h0 the lifted vector h satisfies
+    A(h) = A(h0) B; restricted to that space the map is an isometry up to
+    the factor |h0|/sqrt(K).
     """
-    h0 = np.asarray(h0, dtype=float)
-    if h0.shape != (rc.channel_len,):
-        raise ValueError(f"channel vector has shape {h0.shape}, "
-                         f"expected ({rc.channel_len},)")
-    B = np.asarray(B, dtype=float)
     K = rc.code.K
+    B = np.asarray(B, dtype=float)
     if B.shape != (K, K):
         raise ValueError(f"B has shape {B.shape}, expected ({K}, {K})")
-    y = (rc.Phi_stacked @ h0).reshape(K, rc.block_rows)   # rows Phi_k h0
-    mixed = B.T @ y
-    phi = np.stack(rc.Phi)                                # (K, 2ML, 2MN)
-    return np.einsum("kab,ka->b", phi, mixed) / K
+    mixed = B.T @ _apply_phi(rc, h0)                    # (K, 2ML)
+    per_antenna = mixed.reshape(K, rc.M, 2 * rc.code.L) @ rc.blocks
+    return per_antenna.sum(axis=0).reshape(rc.channel_len) / K
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ def subspace_report(sub, hr=None):
         "seed": sub.seed,
         "dim": sub.dim,
         "tol": sub.tol,
-        "basis": [[float(x) for x in b.ravel(order="C")] for b in sub.basis],
+        "basis": [b.ravel(order="C").tolist() for b in sub.basis],
         "hr": {
             "family_size": hr.family_size,
             "max_skew_residual": hr.max_skew_residual,

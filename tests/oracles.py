@@ -2,12 +2,25 @@
 
 These deliberately take different computational routes than the package:
 the factored product form for the ambiguity blocks, explicit Kronecker
-products for the channel lift, exact rational arithmetic (sympy) for
-kernel dimensions, per-column loops for the assembled operators, and scipy
-for principal angles.
+products for the dense channel operators and the channel lift, exact
+rational arithmetic (sympy) for kernel dimensions, per-column loops for
+the assembled operators, scipy for principal angles, and one batch of
+draws for the Ky Fan sample check.
 """
 
 import numpy as np
+
+from ostbc_blind import overline, random_stiefel
+
+
+def kron(a, b):
+    """Kronecker (tensor) product of two real matrices."""
+    return np.kron(np.asarray(a), np.asarray(b))
+
+
+def dense_phi(rc):
+    """The K dense operators Phi_k = I_M (x) overline(C_k), (K, 2ML, 2MN)."""
+    return np.stack([kron(np.eye(rc.M), overline(c)) for c in rc.code.C])
 
 
 def gamma_factored(code, B):
@@ -26,8 +39,27 @@ def gamma_factored(code, B):
 def lift_kron(rc, h0, B):
     """Channel lift via the explicit Kronecker product."""
     two_ml = rc.block_rows
-    phi = rc.Phi_stacked
+    phi = np.vstack(dense_phi(rc))
     return phi.T @ np.kron(np.asarray(B).T, np.eye(two_ml)) @ phi @ h0 / rc.code.K
+
+
+def rayleigh_dense(rc, cov):
+    """sum_k Phi_k^T R Phi_k through the dense operators, by einsum."""
+    phi = dense_phi(rc)
+    Q = np.einsum("kia,ij,kjb->ab", phi, cov.R, phi, optimize=True)
+    return (Q + Q.T) / 2
+
+
+def build_A_dense(rc, h):
+    """Columns Phi_k h through the dense operators."""
+    return np.column_stack([p @ h for p in dense_phi(rc)])
+
+
+def kyfan_traces_oneshot(spec, samples, seed):
+    """Traces of all sampled Stiefel matrices drawn in one batch."""
+    rng = np.random.default_rng(seed)
+    batch = random_stiefel(rng, spec.m, spec.q, samples)
+    return np.einsum("nac,ab,nbc->n", batch, spec.P, batch, optimize=True)
 
 
 def unit_gammas_loop(code):

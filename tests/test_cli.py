@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import ostbc_blind
 from ostbc_blind import code_to_dict, builtin_code
+from ostbc_blind import cli
 from ostbc_blind.cli import main
 
 
@@ -197,3 +199,106 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+class TestJsonWriter:
+    """The streamed writer gives exactly the text of json.dumps."""
+
+    @staticmethod
+    def reference(payload):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["bstar", "--code", "alamouti"],
+        ["bspace", "--code", "alamouti-k2", "--rx", "3", "--seed", "4"],
+        ["census", "--code", "real2", "--rx-max", "2", "--trials", "3",
+         "--seed", "5"],
+        ["estimate", "--code", "alamouti", "--rx", "2", "--blocks", "50",
+         "--sigma2", "0.01", "--seed", "13"],
+        ["kyfan", "--m", "5", "--q", "2", "--seed", "2", "--samples", "50"],
+    ])
+    def test_every_subcommand_payload(self, argv, tmp_path, monkeypatch):
+        payloads = []
+        original = cli._write_json
+
+        def recording(payload, path):
+            payloads.append(payload)
+            original(payload, path)
+
+        monkeypatch.setattr(cli, "_write_json", recording)
+        path = tmp_path / "out.json"
+        assert main(argv + ["--json", str(path)]) == 0
+        assert len(payloads) == 1
+        assert path.read_text() == self.reference(payloads[0])
+
+    @pytest.mark.parametrize("payload", [
+        {"nan": float("nan"), "inf": [float("inf"), -float("inf"), 1.5]},
+        {"mixed": [1.0, float("nan")], "nested": [[0.1, -0.0], [5e-324]]},
+        {"empty_list": [], "empty_dict": {}, "none": None},
+        {"flags": [True, False], "ints": [1, -2, 3], "mix": [1, 2.5, None]},
+        {"z": {"b": 1, "a": {"y": [2.0], "x": "text"}}, "a": [[], {}]},
+        [], {}, [{"b": 1.0, "a": 2}], 0.1, float("nan"), None, True, 7, "s",
+    ])
+    def test_edge_cases(self, payload, tmp_path):
+        path = tmp_path / "out.json"
+        cli._write_json(payload, path)
+        assert path.read_text() == self.reference(payload)
+
+
+class TestHostileInput:
+    """Bad input ends in one `error:` line, exit 1 and no warning."""
+
+    @staticmethod
+    def run_quiet(argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = main(argv)
+        captured = capsys.readouterr()
+        assert not caught
+        return status, captured
+
+    def assert_one_error(self, argv, capsys, needle):
+        status, captured = self.run_quiet(argv, capsys)
+        assert status == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert needle in lines[0]
+        assert "Warning" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("sigma2", ["inf", "-inf", "nan"])
+    def test_non_finite_noise(self, sigma2, capsys):
+        self.assert_one_error(
+            ["estimate", "--code", "alamouti", "--rx", "2", "--blocks", "10",
+             f"--sigma2={sigma2}", "--seed", "1"], capsys, "noise variance")
+
+    def test_estimate_without_receive_antenna(self, capsys):
+        self.assert_one_error(
+            ["estimate", "--code", "alamouti", "--rx", "0", "--blocks", "10",
+             "--sigma2", "0.1", "--seed", "1"], capsys, "receive-antenna count")
+
+    def test_bspace_without_receive_antenna(self, capsys):
+        self.assert_one_error(
+            ["bspace", "--code", "alamouti", "--rx", "0", "--seed", "1"],
+            capsys, "receive-antenna count")
+
+    def test_code_without_matrices(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"name": "empty", "N": 2, "L": 2, "K": 0,
+                                    "C": []}))
+        for action in (["codes", "validate"], ["bstar"]):
+            self.assert_one_error(action + ["--code-file", str(path)], capsys,
+                                  "K=0")
+
+    def test_non_finite_code_entry(self, tmp_path, capsys):
+        payload = code_to_dict(builtin_code("alamouti"))
+        payload["C"][1][0][1] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        status, captured = self.run_quiet(
+            ["codes", "validate", "--code-file", str(path)], capsys)
+        assert status == 1
+        assert captured.err == ""
+        assert captured.out.rstrip().endswith("FAIL")
+        assert "unit_error=inf" in captured.out
+        self.assert_one_error(["bstar", "--code-file", str(path)], capsys,
+                              "failed validation")

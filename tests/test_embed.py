@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ostbc_blind import (kernel, kron, matrix_from_underline, overline,
-                         underline, unvec, vec)
+from ostbc_blind import (kernel, matrix_from_underline, overline, underline,
+                         unvec, vec)
+from oracles import kron
 
 
 class TestVec:

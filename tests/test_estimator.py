@@ -8,6 +8,7 @@ from ostbc_blind import (ChannelRealization, ConstellationModel,
                          predicted_eigenvalues, rayleigh_matrix, realify,
                          run_estimate, sample_R, simulate, theoretical_R,
                          underline, vec)
+from oracles import build_A_dense, dense_phi, rayleigh_dense
 
 
 def random_spd(rng, k, lo=0.5, hi=2.0):
@@ -126,6 +127,22 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SimulationConfig(code, 1, cm, 1, -0.1, 1)
 
+    @pytest.mark.parametrize("sigma2", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_noise(self, sigma2):
+        code = builtin_code("scalar")
+        cm = ConstellationModel.iid_pm1(1)
+        with pytest.raises(ValueError, match="noise variance"):
+            SimulationConfig(code, 1, cm, 1, sigma2, 1)
+
+    @pytest.mark.parametrize("M", [0, -2])
+    def test_rejects_no_receive_antenna(self, M, rng):
+        code = builtin_code("scalar")
+        cm = ConstellationModel.iid_pm1(1)
+        with pytest.raises(ValueError, match="receive-antenna count"):
+            SimulationConfig(code, M, cm, 1, 0.0, 1)
+        with pytest.raises(ValueError, match="receive-antenna count"):
+            draw_channel(code.N, M, rng)
+
 
 class TestSampleR:
     def test_single_block(self):
@@ -168,11 +185,34 @@ class TestEstimateChannel:
         rc = realify(code, 1)
         cov = sample_R(rng.standard_normal((10, 2)))
         q = rayleigh_matrix(rc, cov)
-        np.testing.assert_allclose(q, rc.Phi[0].T @ cov.R @ rc.Phi[0],
+        phi = dense_phi(rc)[0]
+        np.testing.assert_allclose(q, phi.T @ cov.R @ phi,
                                    rtol=0, atol=1e-14)
         h, _ = estimate_channel(rc, cov)
         w, v = np.linalg.eigh(q)
         assert abs(abs(v[:, -1] @ h) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 64])
+    def test_matches_dense_einsum(self, code, rng, M):
+        rc = realify(code, M)
+        cov = sample_R(rng.standard_normal((4 * rc.block_rows, rc.block_rows)))
+        scale = np.linalg.norm(cov.R)
+        np.testing.assert_allclose(rayleigh_matrix(rc, cov),
+                                   rayleigh_dense(rc, cov),
+                                   rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("M", [1, 3, 32, 64])
+    def test_estimate_lies_in_dense_top_eigenspace(self, code, M):
+        cfg = SimulationConfig(code, M, ConstellationModel.iid_pm1(code.K),
+                               500, 0.01, 7 + M)
+        blocks, _, _ = simulate(cfg)
+        rc = realify(code, M)
+        cov = sample_R(blocks)
+        h, _ = estimate_channel(rc, cov)
+        w, v = np.linalg.eigh(rayleigh_dense(rc, cov))
+        top = v[:, w >= w[-1] * (1 - 1e-9)]
+        resid = np.linalg.norm(h - top @ (top.T @ h))
+        assert np.arcsin(min(1.0, resid)) <= 1e-10
 
     def test_top_eigenspace_is_the_lifted_ambiguity_span(self, code, rng):
         # multiplicity of the top eigenvalue equals the ambiguity dimension
@@ -203,6 +243,16 @@ class TestEstimateChannel:
 
 
 class TestDecode:
+    @pytest.mark.parametrize("M", [1, 2, 3, 64])
+    def test_bit_equal_to_dense_oracle(self, code, rng, M):
+        rc = realify(code, M)
+        h = rng.standard_normal(rc.channel_len)
+        y = rng.standard_normal((5, rc.block_rows))
+        A = build_A_dense(rc, h)
+        n2 = float(np.dot(h, h))
+        np.testing.assert_array_equal(decode(rc, h, y), y @ A / n2)
+        np.testing.assert_array_equal(decode(rc, h, y[0]), A.T @ y[0] / n2)
+
     def test_perfect_channel_roundtrip(self, code, rng):
         rc = realify(code, 2)
         ch = draw_channel(code.N, 2, rng)

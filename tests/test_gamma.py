@@ -3,10 +3,10 @@ import pytest
 
 from ostbc_blind import (build_A, builtin_code, channel_kernel_matrix,
                          compute_bspace, draw_channel, gamma, gamma_k,
-                         gamma_operator, kron, lift_to_channel, overline,
-                         realify, underline, unit_gammas, vec)
+                         gamma_operator, lift_to_channel, overline, realify,
+                         underline, unit_gammas, vec)
 
-from oracles import gamma_factored, unit_gammas_loop
+from oracles import gamma_factored, kron, unit_gammas_loop
 
 
 class TestGammaBlocks:

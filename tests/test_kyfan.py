@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from ostbc_blind import (ConstellationModel, SpectrumSpec, build_A,
+from ostbc_blind import (ConstellationModel, KyFanError, SpectrumSpec, build_A,
                          construct_maximizer, draw_channel, kyfan_membership,
                          kyfan_sample_check, kyfan_value, random_stiefel,
                          realify, theoretical_R)
+from ostbc_blind import kyfan
+from oracles import kyfan_traces_oneshot
 
 
 def spec_from_eigs(rng, eigs, q):
@@ -139,6 +141,47 @@ class TestSampleCheck:
         spec = spec_from_eigs(rng, [1.0, 0.0], 1)
         with pytest.raises(ValueError):
             kyfan_sample_check(spec, 0, seed=0)
+
+
+class TestChunkedSampling:
+    CHUNK = kyfan.SAMPLE_CHUNK
+
+    @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3])
+    def test_matches_one_shot_oracle(self, rng, monkeypatch, samples):
+        spec = spec_from_eigs(rng, [3.0, 2.0, 2.0, 1.0, 0.5, -1.0], 3)
+        traces = kyfan_traces_oneshot(spec, samples, [9, 1])
+        report = kyfan_sample_check(spec, samples, [9, 1])
+        assert report.max_trace == float(np.max(traces))
+        # A wide near band, with membership waved through, counts the
+        # near samples of every batch.
+        monkeypatch.setattr(kyfan, "kyfan_membership", lambda *args: True)
+        wide = kyfan_sample_check(spec, samples, [9, 1], near_tol=0.5)
+        assert wide.n_near == int(np.sum(traces >= wide.value - 0.5)) > 0
+
+    def test_error_names_global_sample_index(self, monkeypatch):
+        # Square Q: every sample reaches the maximum, so each is checked.
+        spec = SpectrumSpec.from_matrix(np.diag([2.0, 1.0]), 2)
+        calls = []
+
+        def fail_once(spec, Q, tol):
+            calls.append(Q)
+            return len(calls) != self.CHUNK + 5
+
+        monkeypatch.setattr(kyfan, "kyfan_membership", fail_once)
+        with pytest.raises(KyFanError, match=rf"sample {self.CHUNK + 4} "):
+            kyfan_sample_check(spec, 2 * self.CHUNK, 3)
+
+    def test_memory_bounded_by_chunk(self, rng):
+        import tracemalloc
+        spec = spec_from_eigs(rng, [3.0, 2.0, 1.0, 0.5, 0.0, -1.0], 3)
+        samples = 16 * self.CHUNK
+        tracemalloc.start()
+        try:
+            kyfan_sample_check(spec, samples, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < samples * spec.m * spec.q * 8 / 2
 
 
 class TestEstimatorConnection:

@@ -7,6 +7,7 @@ from ostbc_blind import (BUILTIN_CODE_NAMES, ChannelRealization,
                          CodeFormatError, CodeValidationError, OstbCode,
                          build_A, builtin_code, code_to_dict, encode,
                          load_code, realify, underline, validate_code)
+from oracles import build_A_dense, dense_phi
 
 
 class TestRegistry:
@@ -96,26 +97,40 @@ class TestEncode:
 class TestRealify:
     def test_scalar_code(self):
         rc = realify(builtin_code("scalar"), 1)
-        np.testing.assert_array_equal(rc.Phi[0], np.eye(2))
+        np.testing.assert_array_equal(dense_phi(rc)[0], np.eye(2))
 
     @pytest.mark.parametrize("M", [1, 2, 3])
     def test_orthogonality_relations(self, code, M):
         rc = realify(code, M)
         n = rc.channel_len
-        for i, pi in enumerate(rc.Phi):
+        phi = dense_phi(rc)
+        for i, pi in enumerate(phi):
             assert np.linalg.norm(pi.T @ pi - np.eye(n)) <= 1e-12
-            for pj in rc.Phi[i + 1:]:
+            for pj in phi[i + 1:]:
                 assert np.linalg.norm(pi.T @ pj + pj.T @ pi) <= 1e-12
 
     @pytest.mark.parametrize("M", [1, 2, 3])
     def test_stacked_gram(self, code, M):
         rc = realify(code, M)
-        gram = rc.Phi_stacked.T @ rc.Phi_stacked
+        stacked = np.vstack(dense_phi(rc))
+        gram = stacked.T @ stacked
         assert np.linalg.norm(gram - code.K * np.eye(rc.channel_len)) <= 1e-12
 
     def test_rejects_bad_antenna_count(self, alamouti):
         with pytest.raises(ValueError):
             realify(alamouti, 0)
+
+    def test_storage_does_not_grow_with_M(self, code):
+        def nbytes(rc):
+            return sum(v.nbytes for v in vars(rc).values()
+                       if isinstance(v, np.ndarray))
+        sizes = {nbytes(realify(code, M)) for M in (1, 2, 64, 256)}
+        assert sizes == {code.K * 4 * code.L * code.N * 8}
+
+    def test_blocks_are_read_only(self, alamouti):
+        rc = realify(alamouti, 3)
+        with pytest.raises(ValueError):
+            rc.blocks[0, 0, 0] = 2.0
 
 
 class TestBuildA:
@@ -157,6 +172,14 @@ class TestBuildA:
         rc = realify(alamouti, 1)
         with pytest.raises(ValueError):
             build_A(rc, np.zeros(6))
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 64])
+    def test_bit_equal_to_dense_oracle(self, code, rng, M):
+        rc = realify(code, M)
+        h = rng.standard_normal(rc.channel_len)
+        A = build_A(rc, h)
+        assert A.flags.c_contiguous
+        np.testing.assert_array_equal(A, build_A_dense(rc, h))
 
 
 class TestChannelRealization:
@@ -213,6 +236,24 @@ class TestCodeFiles:
             load_code(path)
         loaded = load_code(path, validate=False)
         assert not validate_code(loaded, 1e-9).passed
+
+    def test_code_without_matrices_rejected(self, tmp_path):
+        payload = {"name": "empty", "N": 2, "L": 2, "K": 0, "C": []}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CodeFormatError, match="K=0"):
+            load_code(path)
+        with pytest.raises(CodeFormatError):
+            OstbCode("empty", 2, 2, 0, ())
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entry_fails_validation(self, entry):
+        c = np.eye(2, dtype=complex)
+        c[1, 0] = entry
+        report = validate_code(OstbCode("odd", 2, 2, 1, (c,)), 1e-9)
+        assert not report.passed
+        assert report.max_unit_error == np.inf
+        assert report.max_pair_error == np.inf
 
     def test_builtin_names_constant(self):
         assert set(BUILTIN_CODE_NAMES) == {
