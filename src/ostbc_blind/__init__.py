@@ -1,16 +1,16 @@
 """Ambiguity subspaces and blind channel estimation for OSTB codes."""
 
-from .census import (CensusError, CensusResult, census_summary,
-                     dimension_census, find_mstar, write_census_csv)
+from .census import (CensusError, CensusResult, census_summary, find_mstar,
+                     write_census_csv)
 from .embed import (kernel, matrix_from_underline, overline, underline,
                     unvec, vec)
-from .estimator import (ConstellationModel, CovarianceModel, EstimateReport,
-                        SimulationConfig, ambiguity_matrix, decode,
-                        draw_channel, estimate_channel, predicted_eigenvalues,
+from .estimator import (ConstellationModel, EstimateReport, SimulationConfig,
+                        ambiguity_matrix, decode, draw_channel,
+                        estimate_channel, predicted_eigenvalues,
                         rayleigh_matrix, run_estimate, sample_R, simulate,
                         theoretical_R)
-from .gamma import (GammaOperator, channel_kernel_matrix, gamma, gamma_k,
-                    gamma_operator, unit_gammas)
+from .gamma import (channel_kernel_matrix, gamma, gamma_k, gamma_operator,
+                    unit_gammas)
 from .kyfan import (KyFanError, KyFanSampleReport, SpectrumSpec,
                     construct_maximizer, kyfan_membership, kyfan_sample_check,
                     kyfan_value, random_stiefel)

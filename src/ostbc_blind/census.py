@@ -33,21 +33,6 @@ class TrialRecord:
 
 
 @dataclass(frozen=True)
-class DimensionCensus:
-    """Histogram of observed dimensions for one (code, M) pair."""
-
-    code: str
-    M: int
-    trials: int
-    histogram: dict
-    unimodal: bool      # every trial produced the same dimension
-
-    @property
-    def mode(self):
-        return max(self.histogram, key=self.histogram.get)
-
-
-@dataclass(frozen=True)
 class CensusResult:
     """Census over M = 1..M_max with the critical antenna count."""
 
@@ -56,38 +41,10 @@ class CensusResult:
     trials: int
     seed: int
     tol: float
-    histograms: dict            # M -> {dim: count}
-    d_mode: dict                # M -> modal dimension
+    d_mode: dict                # M -> the dimension every trial observed
     d_star: int
     M_star: object              # smallest matching M, or None if not found
     records: tuple = field(repr=False)
-
-
-def _trial_rng(seed, M, trial):
-    # Streams derived from (seed, M, trial): reproducible and independent
-    # of the order in which trials run.
-    return np.random.default_rng([seed, M, trial])
-
-
-def _census_trials(code, M, trials, seed, tol, bstar):
-    records = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, M, trial)
-        channel = draw_channel(code.N, M, rng)
-        sub = compute_bspace(code, channel, tol)
-        angle = float(np.max(principal_angles(sub.basis, bstar.basis)))
-        records.append(TrialRecord(code.name, M, trial, sub.dim, angle))
-    return records
-
-
-def dimension_census(code, M, trials, seed, tol=1e-9):
-    """Tabulate the ambiguity dimension over random channel draws."""
-    if trials < 1:
-        raise ValueError(f"trial count must be >= 1, got {trials}")
-    bstar = compute_bstar(code, tol)
-    records = _census_trials(code, M, trials, seed, tol, bstar)
-    hist = Counter(r.dim for r in records)
-    return DimensionCensus(code.name, M, trials, dict(hist), len(hist) == 1)
 
 
 def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
@@ -95,9 +52,10 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
 
     The critical count is the smallest M at which every trial's subspace
     equals the invariant space (same dimension and all principal angles
-    within ``angle_tol``). Raises :class:`CensusError` when trials
-    disagree on a dimension or the modal dimension fails to be
-    non-increasing and bounded below by the invariant dimension.
+    within ``angle_tol``). Raises :class:`CensusError` when the trials
+    at one M disagree on the dimension (the message gives the observed
+    histogram) or the dimension fails to be non-increasing and bounded
+    below by the invariant dimension.
     """
     if M_max < 1:
         raise ValueError(f"M_max must be >= 1, got {M_max}")
@@ -105,19 +63,25 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
         raise ValueError(f"trial count must be >= 1, got {trials}")
     bstar = compute_bstar(code, tol)
     m_range = tuple(range(1, M_max + 1))
-    histograms = {}
     d_mode = {}
     all_records = []
     matches = {}
     for M in m_range:
-        records = _census_trials(code, M, trials, seed, tol, bstar)
+        records = []
+        for trial in range(trials):
+            # One stream per (seed, M, trial): reproducible and independent
+            # of the order in which trials run.
+            rng = np.random.default_rng([seed, M, trial])
+            channel = draw_channel(code.N, M, rng)
+            sub = compute_bspace(code, channel, tol)
+            angle = float(np.max(principal_angles(sub.basis, bstar.basis)))
+            records.append(TrialRecord(code.name, M, trial, sub.dim, angle))
         all_records.extend(records)
         hist = Counter(r.dim for r in records)
         if len(hist) != 1:
             raise CensusError(
                 f"{code.name} M={M}: observed dimensions {dict(hist)} are not "
                 f"a single value; deterministic-dimension check failed")
-        histograms[M] = dict(hist)
         d_mode[M] = records[0].dim
         matches[M] = (d_mode[M] == bstar.dim
                       and all(r.max_angle_to_bstar <= angle_tol for r in records))
@@ -143,8 +107,8 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
                 raise CensusError(
                     f"{code.name} M={M}: subspace no longer matches the "
                     f"invariant space past M_star={m_star}")
-    return CensusResult(code.name, m_range, trials, seed, tol, histograms,
-                        d_mode, bstar.dim, m_star, tuple(all_records))
+    return CensusResult(code.name, m_range, trials, seed, tol, d_mode,
+                        bstar.dim, m_star, tuple(all_records))
 
 
 def write_census_csv(result, path):

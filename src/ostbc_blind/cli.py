@@ -15,8 +15,9 @@ from .census import CensusError, census_summary, find_mstar, write_census_csv
 from .estimator import (ConstellationModel, SimulationConfig, draw_channel,
                         run_estimate)
 from .kyfan import KyFanError, SpectrumSpec, kyfan_sample_check
-from .ostbc import (BUILTIN_CODE_NAMES, CodeFormatError, CodeValidationError,
-                    builtin_code, load_code, validate_code)
+from .ostbc import (BUILTIN_CODE_NAMES, VALIDATION_TOL, CodeFormatError,
+                    CodeValidationError, builtin_code, load_code,
+                    validate_code)
 from .subspace import (AmbiguityStructureError, SubspaceError, compute_bspace,
                        compute_bstar, hr_basis, subspace_report)
 
@@ -156,10 +157,6 @@ def cmd_estimate(args):
     config = SimulationConfig(code, args.rx, constellation, args.blocks,
                               args.sigma2, args.seed)
     report = run_estimate(config, args.tol)
-    if report.eigen_gap < 1e-10:
-        print("note: top eigenspace of the estimation matrix is degenerate; "
-              "the reported estimate is one representative of it",
-              file=sys.stderr)
     payload = {
         "h_hat": report.h_hat.tolist(),
         "s_hat": report.s_hat.tolist(),
@@ -217,7 +214,7 @@ def build_parser():
     group = p.add_mutually_exclusive_group()
     group.add_argument("--code", choices=BUILTIN_CODE_NAMES)
     group.add_argument("--code-file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=VALIDATION_TOL)
     p.set_defaults(func=cmd_codes)
 
     p = sub.add_parser("bstar", help="channel-independent ambiguity space")

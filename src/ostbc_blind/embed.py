@@ -51,6 +51,12 @@ def overline(a):
     return np.block([[a.real, -a.imag], [a.imag, a.real]])
 
 
+def _check_tol(tol, name="tol"):
+    """Raise ValueError unless ``tol`` is a finite number in (0, 1)."""
+    if not 0 < tol < 1:     # also false for nan
+        raise ValueError(f"{name} must be finite and in (0, 1), got {tol}")
+
+
 def kernel(m, rel_tol=1e-9):
     """Orthonormal basis of the numerical kernel of a real matrix.
 
@@ -61,14 +67,13 @@ def kernel(m, rel_tol=1e-9):
 
     Args:
         m: real matrix, shape (r, n).
-        rel_tol: relative singular-value threshold, must be positive.
+        rel_tol: relative singular-value threshold in (0, 1).
 
     Returns:
         ``(basis, s)``: an (n, k) array with orthonormal columns spanning
         the kernel, and the singular values of ``m`` in descending order.
     """
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    _check_tol(rel_tol, "rel_tol")
     m = np.atleast_2d(np.asarray(m, dtype=float))
     r, n = m.shape
     _, s, vh = np.linalg.svd(m, full_matrices=r < n)

@@ -79,18 +79,12 @@ class SimulationConfig:
             raise ValueError(f"block count must be >= 1, got {self.J}")
         if self.M < 1:
             raise ValueError(f"receive-antenna count must be >= 1, got {self.M}")
-        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0):
-            raise ValueError(
-                f"noise variance must be finite and >= 0, got {self.sigma2}")
+        _check_noise_variance(self.sigma2)
 
 
-@dataclass(frozen=True)
-class CovarianceModel:
-    """Second moment of the underlined received blocks."""
-
-    R: np.ndarray = field(repr=False)   # (2ML, 2ML), symmetric
-    source: str                         # "theoretical" or "sample"
-    J: object = None                    # block count for source="sample"
+def _check_noise_variance(sigma2):
+    if not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
 
 
 @dataclass(frozen=True)
@@ -116,21 +110,21 @@ def draw_channel(N, M, rng):
 
 
 def theoretical_R(rc, h0, cm, sigma2):
-    """Exact covariance A(h0) Sigma A(h0)^T + (sigma2/2) I.
+    """Exact covariance A(h0) Sigma A(h0)^T + (sigma2/2) I, symmetrised.
 
-    Its spectrum is the diagonal of |h0|^2 Lambda_s + (sigma2/2) I plus
-    the noise floor sigma2/2 with multiplicity 2ML - K; the columns of
-    A(h0) U are the signal-space eigenvectors.
+    Returns a (2ML, 2ML) array; ``sigma2`` must be finite and >= 0. Its
+    spectrum is the diagonal of |h0|^2 Lambda_s + (sigma2/2) I plus the
+    noise floor sigma2/2 with multiplicity 2ML - K; the columns of A(h0) U
+    are the signal-space eigenvectors.
     """
-    if sigma2 < 0:
-        raise ValueError(f"noise variance must be >= 0, got {sigma2}")
+    _check_noise_variance(sigma2)
     h0 = np.asarray(h0, dtype=float)
     if h0.shape != (rc.channel_len,):
         raise ValueError(f"channel vector has shape {h0.shape}, "
                          f"expected ({rc.channel_len},)")
     A = build_A(rc, h0)
     R = A @ cm.Sigma @ A.T + (sigma2 / 2) * np.eye(rc.block_rows)
-    return CovarianceModel((R + R.T) / 2, "theoretical")
+    return (R + R.T) / 2
 
 
 def predicted_eigenvalues(rc, h0, cm, sigma2):
@@ -162,17 +156,17 @@ def simulate(config):
 
 
 def sample_R(blocks):
-    """Sample covariance (1/J) sum_i y_i y_i^T of received blocks."""
+    """Sample covariance (1/J) sum_i y_i y_i^T, a symmetrised (2ML, 2ML) array."""
     blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
     J = blocks.shape[0]
     if J < 1 or blocks.size == 0:
         raise ValueError("at least one received block is required")
     R = blocks.T @ blocks / J
-    return CovarianceModel((R + R.T) / 2, "sample", J=J)
+    return (R + R.T) / 2
 
 
-def rayleigh_matrix(rc, cov):
-    """The 2MN x 2MN matrix sum_k Phi_k^T R Phi_k.
+def rayleigh_matrix(rc, R):
+    """The 2MN x 2MN matrix sum_k Phi_k^T R Phi_k for a (2ML, 2ML) array R.
 
     Satisfies h^T Q h = tr{A(h)^T R A(h)} for every h, which reduces the
     trace maximization over normalized channel vectors to a symmetric
@@ -183,7 +177,7 @@ def rayleigh_matrix(rc, cov):
     permutation, so every term is exact and only that order can move a bit.
     """
     M, two_l = rc.M, 2 * rc.code.L
-    R = cov.R.reshape(M, two_l, M * two_l)
+    R = np.asarray(R, dtype=float).reshape(M, two_l, M * two_l)
     Q = np.zeros((rc.channel_len, rc.channel_len))
     for c in rc.blocks:
         Q += ((c.T @ R).reshape(-1, two_l) @ c).reshape(Q.shape)
@@ -195,9 +189,10 @@ def _fix_vector_sign(v):
     return v if v[pivot] > 0 else -v
 
 
-def estimate_channel(rc, cov):
+def estimate_channel(rc, R):
     """Unit-norm maximizer of tr{A(h)^T R A(h)} over normalized h.
 
+    ``R`` is a (2ML, 2ML) covariance array, as :func:`sample_R` returns.
     Returns ``(h_hat, gap)``: a dominant eigenvector of the Rayleigh
     matrix and the relative gap between its two largest eigenvalues. The
     top eigenvalue's multiplicity equals the dimension of the channel's
@@ -210,7 +205,7 @@ def estimate_channel(rc, cov):
     the subspace angle do not. The returned vector's largest-magnitude
     entry is made positive for reproducibility.
     """
-    w, vecs = np.linalg.eigh(rayleigh_matrix(rc, cov))
+    w, vecs = np.linalg.eigh(rayleigh_matrix(rc, R))
     h = vecs[:, -1]
     gap = (w[-1] - w[-2]) / max(abs(w[-1]), 1e-300)
     return _fix_vector_sign(h / np.linalg.norm(h)), float(gap)
@@ -273,8 +268,7 @@ def run_estimate(config, tol=1e-9):
     """Full pipeline: simulate, estimate, decode, extract the ambiguity."""
     blocks, _, channel = simulate(config)
     rc = realify(config.code, config.M)
-    cov = sample_R(blocks)
-    h_hat, gap = estimate_channel(rc, cov)
+    h_hat, gap = estimate_channel(rc, sample_R(blocks))
     s_hat = decode(rc, h_hat, blocks)
     B_hat, residual = ambiguity_matrix(rc, channel.h0, h_hat)
     sub = compute_bspace(config.code, channel, tol, seed=config.seed)

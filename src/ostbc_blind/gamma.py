@@ -12,32 +12,28 @@ explicit real matrix turns every ambiguity-space question into a kernel
 computation.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-
-def gamma_k(code, B, k):
-    """Evaluate the k-th ambiguity block (0-based k) by the defining sums."""
-    if not 0 <= k < code.K:
-        raise IndexError(f"block index {k} out of range for K={code.K}")
-    B = np.asarray(B, dtype=float)
-    if B.shape != (code.K, code.K):
-        raise ValueError(f"B has shape {B.shape}, expected ({code.K}, {code.K})")
-    C = code.C
-    acc = np.zeros((code.L, code.N), dtype=complex)
-    for i in range(code.K):
-        for j in range(code.K):
-            acc += B[j, i] * (C[k] @ C[i].conj().T @ C[j])
-    acc /= code.K
-    for l in range(code.K):
-        acc -= B[l, k] * C[l]
-    return acc
+from .embed import vec
 
 
 def gamma(code, B):
-    """Stack gamma_k(B) for k = 0..K-1 into one LK x N complex matrix."""
-    return np.vstack([gamma_k(code, B, k) for k in range(code.K)])
+    """Stack gamma_k(B) for k = 0..K-1 into one LK x N complex matrix.
+
+    The contraction of vec(B), for a K x K matrix B, with the blocks of
+    the K^2 unit matrices from :func:`unit_gammas`.
+    """
+    B = np.asarray(B, dtype=float)
+    if B.shape != (code.K, code.K):
+        raise ValueError(f"B has shape {B.shape}, expected ({code.K}, {code.K})")
+    return np.tensordot(vec(B), unit_gammas(code), axes=(0, 0))
+
+
+def gamma_k(code, B, k):
+    """The k-th ambiguity block (0-based k): rows kL..(k+1)L of :func:`gamma`."""
+    if not 0 <= k < code.K:
+        raise IndexError(f"block index {k} out of range for K={code.K}")
+    return gamma(code, B)[k * code.L:(k + 1) * code.L]
 
 
 def unit_gammas(code):
@@ -59,29 +55,21 @@ def unit_gammas(code):
     return blocks.transpose(1, 0, 2, 3, 4).reshape(K * K, L * K, N)
 
 
-@dataclass(frozen=True)
-class GammaOperator:
-    """Real matrix representation of the linear map B -> ambiguity blocks.
+def gamma_operator(code):
+    """Real matrix of the map B -> stacked real embeddings of gamma blocks.
 
-    ``G`` has shape (2*L*K*N, K^2); column p (vec(B) order) is the
-    concatenation over k of underline(gamma_k(E_rs)). Its kernel,
+    Returns a read-only (2*L*K*N, K^2) array; column p (vec(B) order) is
+    the concatenation over k of underline(gamma_k(E_rs)). Its kernel,
     reshaped back to K x K matrices, is the channel-independent
     ambiguity space of the code.
     """
-
-    code: object
-    G: np.ndarray = field(repr=False)
-
-
-def gamma_operator(code):
-    """Assemble the matrix of B -> stacked real embeddings of gamma blocks."""
     K, L, N = code.K, code.L, code.N
     stacked = unit_gammas(code).reshape(K * K, K, L, N)
     # Row order (k, column of the block, Re/Im, row): underline per block.
     re_im = np.concatenate([stacked.real, stacked.imag], axis=2)
     G = re_im.transpose(1, 3, 2, 0).reshape(2 * L * K * N, K * K)
     G.setflags(write=False)
-    return GammaOperator(code, G)
+    return G
 
 
 def channel_kernel_matrix(code, H0):

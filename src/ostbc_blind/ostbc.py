@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import overline, underline
+from .embed import _check_tol, overline, underline
+
+
+# The one tolerance of code validation: the builtin registry, the file
+# loader and the CLI's `codes validate` all check at this value.
+VALIDATION_TOL = 1e-12
 
 
 class CodeValidationError(ValueError):
@@ -112,7 +117,7 @@ def builtin_code(name):
 @functools.lru_cache(maxsize=None)
 def _validated_builtin(name):
     code = _builtin_registry()[name]
-    report = validate_code(code, 1e-12)
+    report = validate_code(code, VALIDATION_TOL)
     if not report.passed:
         raise CodeValidationError(f"builtin code {name!r} failed validation: {report}")
     return code
@@ -123,11 +128,10 @@ def validate_code(code, tol):
 
     Returns a :class:`ValidationReport`; it passes iff both the unit
     self-products and the anti-commuting pair sums deviate by at most
-    ``tol`` in spectral norm. A code with a non-finite entry fails with
-    both deviations infinite.
+    ``tol`` in spectral norm; ``tol`` must be finite and in (0, 1). A
+    code with a non-finite entry fails with both deviations infinite.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if not all(np.isfinite(c).all() for c in code.C):
         return ValidationReport(code.name, np.inf, np.inf, tol)
     eye = np.eye(code.N)
@@ -266,7 +270,7 @@ def code_from_dict(payload):
     return OstbCode(name, n, l, k, tuple(mats))
 
 
-def load_code(path, validate=True, tol=1e-12):
+def load_code(path, validate=True, tol=VALIDATION_TOL):
     """Load a code from a JSON definition file.
 
     With ``validate=True`` (default) the orthogonality constraints are

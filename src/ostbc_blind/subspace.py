@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import kernel, vec
+from .embed import _check_tol, kernel, vec
 from .gamma import channel_kernel_matrix, gamma_operator
 from .ostbc import _apply_phi
 
@@ -53,7 +53,6 @@ class AmbiguitySubspace:
     dim: int
     basis: tuple = field(repr=False)   # K x K real matrices
     tol: float
-    channel: object = None         # ChannelRealization for kind="channel"
     seed: object = None            # seed the channel was drawn from, if any
 
     @property
@@ -91,7 +90,7 @@ def _identity_first(span, K, resid_tol, error):
     return taken
 
 
-def _kernel_subspace(op, code, tol, kind, M=None, channel=None, seed=None):
+def _kernel_subspace(op, code, tol, kind, M=None, seed=None):
     vecs, s = kernel(op, tol)
     mats = [w.reshape((code.K, code.K), order="F")
             for w in _identity_first(vecs, code.K, 1e-10, SubspaceError)]
@@ -104,8 +103,7 @@ def _kernel_subspace(op, code, tol, kind, M=None, channel=None, seed=None):
                 f"basis element leaves kernel residual {residual:.3e} "
                 f"above tol*scale {scale:.3e}")
         b.setflags(write=False)
-    return AmbiguitySubspace(code, kind, M, len(basis), basis, tol,
-                             channel=channel, seed=seed)
+    return AmbiguitySubspace(code, kind, M, len(basis), basis, tol, seed=seed)
 
 
 def compute_bstar(code, tol=1e-9):
@@ -115,9 +113,8 @@ def compute_bstar(code, tol=1e-9):
     matrices and normalized identity-first. Its dimension is 1 exactly
     when the code is identifiable from second-order statistics.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    return _kernel_subspace(gamma_operator(code).G, code, tol, "invariant")
+    _check_tol(tol)
+    return _kernel_subspace(gamma_operator(code), code, tol, "invariant")
 
 
 def compute_bspace(code, channel, tol=1e-9, seed=None):
@@ -127,8 +124,7 @@ def compute_bspace(code, channel, tol=1e-9, seed=None):
     channel-independent space; equals it with probability one once the
     receive-antenna count reaches the code's critical value.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if channel.H0.shape[0] != code.N:
         raise ValueError(
             f"channel has {channel.H0.shape[0]} transmit antennas, "
@@ -136,8 +132,7 @@ def compute_bspace(code, channel, tol=1e-9, seed=None):
     if np.linalg.norm(channel.h0) == 0.0:
         raise ValueError("zero channel matrix is rejected")
     op = channel_kernel_matrix(code, channel.H0)
-    return _kernel_subspace(op, code, tol, "channel",
-                            M=channel.M, channel=channel, seed=seed)
+    return _kernel_subspace(op, code, tol, "channel", M=channel.M, seed=seed)
 
 
 def lift_to_channel(rc, h0, B):

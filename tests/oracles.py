@@ -1,11 +1,11 @@
 """Independent reference implementations used only to cross-check tests.
 
 These deliberately take different computational routes than the package:
-the factored product form for the ambiguity blocks, explicit Kronecker
-products for the dense channel operators and the channel lift, exact
-rational arithmetic (sympy) for kernel dimensions, per-column loops for
-the assembled operators, scipy for principal angles, and one batch of
-draws for the Ky Fan sample check.
+the defining double sum and the factored product form for the ambiguity
+blocks, explicit Kronecker products for the dense channel operators and
+the channel lift, exact rational arithmetic (sympy) for kernel
+dimensions, per-column loops for the assembled operators, scipy for
+principal angles, and one batch of draws for the Ky Fan sample check.
 """
 
 import numpy as np
@@ -21,6 +21,26 @@ def kron(a, b):
 def dense_phi(rc):
     """The K dense operators Phi_k = I_M (x) overline(C_k), (K, 2ML, 2MN)."""
     return np.stack([kron(np.eye(rc.M), overline(c)) for c in rc.code.C])
+
+
+def gamma_sums(code, B):
+    """Ambiguity stack by the defining sums, one block k at a time.
+
+    gamma_k(B) = (1/K) sum_{i,j} B[j,i] C_k C_i^H C_j - sum_l B[l,k] C_l.
+    """
+    B = np.asarray(B, dtype=float)
+    C = code.C
+    blocks = []
+    for k in range(code.K):
+        acc = np.zeros((code.L, code.N), dtype=complex)
+        for i in range(code.K):
+            for j in range(code.K):
+                acc += B[j, i] * (C[k] @ C[i].conj().T @ C[j])
+        acc /= code.K
+        for l in range(code.K):
+            acc -= B[l, k] * C[l]
+        blocks.append(acc)
+    return np.vstack(blocks)
 
 
 def gamma_factored(code, B):
@@ -43,10 +63,10 @@ def lift_kron(rc, h0, B):
     return phi.T @ np.kron(np.asarray(B).T, np.eye(two_ml)) @ phi @ h0 / rc.code.K
 
 
-def rayleigh_dense(rc, cov):
+def rayleigh_dense(rc, R):
     """sum_k Phi_k^T R Phi_k through the dense operators, by einsum."""
     phi = dense_phi(rc)
-    Q = np.einsum("kia,ij,kjb->ab", phi, cov.R, phi, optimize=True)
+    Q = np.einsum("kia,ij,kjb->ab", phi, R, phi, optimize=True)
     return (Q + Q.T) / 2
 
 

@@ -104,7 +104,8 @@ def test_criterion_05_deterministic_dimension():
             d_star = result.d_star
             prev = None
             for M in result.M_range:
-                assert len(result.histograms[M]) == 1  # single observed value
+                dims = {r.dim for r in result.records if r.M == M}
+                assert dims == {result.d_mode[M]}  # single observed value
                 if prev is not None:
                     assert result.d_mode[M] <= prev
                 prev = result.d_mode[M]
@@ -127,7 +128,7 @@ def test_criterion_06_covariance_eigenstructure():
                         random_spd(rng, code.K, lo=0.2, hi=3.0))
                     sigma2 = 0.0 if trial == 0 else float(rng.uniform(0.0, 1.0))
                     cov = theoretical_R(rc, ch.h0, cm, sigma2)
-                    got = np.sort(np.linalg.eigvalsh(cov.R))
+                    got = np.sort(np.linalg.eigvalsh(cov))
                     want = predicted_eigenvalues(rc, ch.h0, cm, sigma2)
                     assert np.max(np.abs(got - want)) <= 1e-9 * max(want[-1], 1.0)
 

@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ostbc_blind import (CensusError, builtin_code, census_summary,
-                         compute_bspace, compute_bstar, dimension_census,
-                         draw_channel, find_mstar, write_census_csv)
+                         compute_bspace, compute_bstar, draw_channel,
+                         find_mstar, write_census_csv)
+from ostbc_blind import census
 from ostbc_blind.ostbc import ChannelRealization
 
 from oracles import exact_channel_dim, exact_invariant_dim
@@ -33,26 +36,51 @@ class TestExactOracleAgreement:
         assert exact_channel_dim(code, seed=3 * M + 1, M=M) == EXPECTED[code.name]
 
 
+def histograms(result):
+    """M -> {dim: count} over the per-trial records of a census."""
+    hist = {M: Counter() for M in result.M_range}
+    for r in result.records:
+        hist[r.M][r.dim] += 1
+    return {M: dict(h) for M, h in hist.items()}
+
+
 class TestDimensionCensus:
+    """The per-M dimension histograms that find_mstar tabulates."""
+
     def test_scalar_always_one(self):
-        code = builtin_code("scalar")
-        for M in (1, 2, 3):
-            result = dimension_census(code, M, 20, seed=0)
-            assert result.histogram == {1: 20}
-            assert result.unimodal
+        result = find_mstar(builtin_code("scalar"), 3, 20, seed=0)
+        assert histograms(result) == {1: {1: 20}, 2: {1: 20}, 3: {1: 20}}
+        assert result.d_mode == {1: 1, 2: 1, 3: 1}
 
     def test_alamouti_m2(self, alamouti):
-        result = dimension_census(alamouti, 2, 100, seed=1)
-        assert result.histogram == {4: 100}
+        result = find_mstar(alamouti, 2, 100, seed=1)
+        assert histograms(result)[2] == {4: 100}
 
     def test_alamouti_m1_constant(self, alamouti):
-        result = dimension_census(alamouti, 1, 100, seed=2)
-        assert result.histogram == {4: 100}
-        assert result.mode == 4
+        result = find_mstar(alamouti, 1, 100, seed=2)
+        assert histograms(result) == {1: {4: 100}}
+        assert result.d_mode == {1: 4}
 
     def test_rejects_bad_trials(self, alamouti):
         with pytest.raises(ValueError):
-            dimension_census(alamouti, 1, 0, seed=0)
+            find_mstar(alamouti, 1, 0, seed=0)
+
+    def test_disagreeing_trials_raise_with_histogram(self, alamouti,
+                                                     monkeypatch):
+        original = census.compute_bspace
+        calls = []
+
+        def every_third_larger(code, channel, tol):
+            sub = original(code, channel, tol)
+            calls.append(sub)
+            if len(calls) % 3 == 0:
+                sub = dataclasses.replace(sub, dim=sub.dim + 1)
+            return sub
+
+        monkeypatch.setattr(census, "compute_bspace", every_third_larger)
+        with pytest.raises(CensusError,
+                           match=r"M=1: observed dimensions \{4: 4, 5: 2\}"):
+            find_mstar(alamouti, 2, 6, seed=3)
 
 
 class TestFindMstar:

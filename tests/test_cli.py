@@ -39,6 +39,21 @@ class TestCodes:
         assert main(["codes", "validate", "--code-file", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_validate_agrees_with_loader(self, tmp_path, capsys):
+        # Unit error 2e-10: above the one validation tolerance 1e-12, so
+        # `codes validate` and every command that loads the file reject it.
+        payload = code_to_dict(builtin_code("alamouti"))
+        payload["C"][0] = [[[re * (1 + 1e-10), im] for re, im in row]
+                           for row in payload["C"][0]]
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(payload))
+        assert main(["codes", "validate", "--code-file", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "unit_error=2.000e-10" in out
+        assert out.rstrip().endswith("tol=1e-12 FAIL")
+        assert main(["bstar", "--code-file", str(path)]) == 1
+        assert "failed validation" in capsys.readouterr().err
+
     def test_validate_requires_code(self, capsys):
         assert main(["codes", "validate"]) == 2
 
@@ -154,6 +169,11 @@ class TestEstimate:
         assert len(lines) == 1000
         assert len(lines[0].split(",")) == 8
 
+    def test_degenerate_code_leaves_stderr_empty(self, capsys):
+        # alamouti's top Rayleigh eigenvalue is 4-fold by structure
+        assert main(self.ARGS) == 0
+        assert capsys.readouterr().err == ""
+
     def test_byte_identical_json(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(self.ARGS + ["--json", str(p1)]) == 0
@@ -189,16 +209,48 @@ class TestParser:
             main([])
 
 
-def test_cli_import_loads_no_scipy():
+def _python_env(**extra):
+    """The environment of a child interpreter that imports this package."""
     src = str(Path(ostbc_blind.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_loads_no_scipy():
     probe = ("import sys, ostbc_blind.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
+    out = subprocess.run([sys.executable, "-c", probe], env=_python_env(),
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_outputs_independent_of_blas_threads(tmp_path):
+    runs = [
+        ["bspace", "--code", "alamouti", "--rx", "64", "--seed", "3",
+         "--json", "bspace.json"],
+        ["estimate", "--code", "alamouti", "--rx", "3", "--blocks", "500",
+         "--sigma2", "0.01", "--seed", "7", "--json", "estimate.json",
+         "--dump-blocks", "blocks.csv"],
+        ["census", "--code", "alamouti-k2", "--rx-max", "2", "--trials", "5",
+         "--seed", "11", "--csv", "census.csv", "--json", "census.json"],
+    ]
+    script = ("import sys; from ostbc_blind.cli import main; "
+              f"sys.exit(max(main(argv) for argv in {runs!r}))")
+    results = []
+    for threads in ("1", "2"):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        env = _python_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             cwd=workdir, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stderr == ""
+        files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        assert len(files) == 5
+        results.append((out.stdout, files))
+    assert results[0] == results[1]
 
 
 class TestJsonWriter:
@@ -288,6 +340,21 @@ class TestHostileInput:
         for action in (["codes", "validate"], ["bstar"]):
             self.assert_one_error(action + ["--code-file", str(path)], capsys,
                                   "K=0")
+
+    @pytest.mark.parametrize("argv", [
+        ["bstar", "--code", "alamouti", "--tol", "nan"],
+        ["bstar", "--code", "alamouti", "--tol", "inf"],
+        ["bstar", "--code", "alamouti", "--tol", "1e300"],
+        ["bstar", "--code", "scalar", "--tol", "nan"],
+        ["bspace", "--code", "real2", "--rx", "2", "--seed", "1", "--tol", "nan"],
+        ["census", "--code", "alamouti", "--rx-max", "1", "--trials", "2",
+         "--seed", "1", "--tol", "1.0"],
+        ["estimate", "--code", "alamouti", "--rx", "2", "--blocks", "10",
+         "--sigma2", "0.1", "--seed", "1", "--tol", "nan"],
+        ["codes", "validate", "--code", "alamouti", "--tol", "nan"],
+    ], ids=lambda argv: " ".join(argv[:3] + argv[-1:]))
+    def test_tolerance_outside_unit_interval(self, argv, capsys):
+        self.assert_one_error(argv, capsys, "tol must be finite and in (0, 1)")
 
     def test_non_finite_code_entry(self, tmp_path, capsys):
         payload = code_to_dict(builtin_code("alamouti"))

@@ -117,7 +117,7 @@ class TestNullSpace:
                                    np.outer(expected, expected),
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-9])
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1.0, np.inf, np.nan])
     def test_rejects_nonpositive_tol(self, bad):
         with pytest.raises(ValueError):
             kernel(np.eye(2), bad)

@@ -44,12 +44,29 @@ class TestConstellationModel:
 
 
 class TestTheoreticalR:
+    @pytest.mark.parametrize("sigma2", [np.inf, -np.inf, np.nan, -0.1])
+    def test_rejects_bad_noise(self, sigma2, rng):
+        code = builtin_code("alamouti")
+        rc = realify(code, 1)
+        ch = draw_channel(code.N, 1, rng)
+        with pytest.raises(ValueError, match="noise variance must be finite"):
+            theoretical_R(rc, ch.h0, ConstellationModel.iid_pm1(code.K), sigma2)
+
+    def test_returns_symmetric_array(self, rng):
+        code = builtin_code("alamouti")
+        rc = realify(code, 2)
+        ch = draw_channel(code.N, 2, rng)
+        cov = theoretical_R(rc, ch.h0, ConstellationModel.iid_pm1(code.K), 0.1)
+        assert isinstance(cov, np.ndarray)
+        assert cov.shape == (rc.block_rows, rc.block_rows)
+        np.testing.assert_array_equal(cov, cov.T)
+
     def test_noiseless_identity_sigma(self, code, rng):
         rc = realify(code, 2)
         ch = draw_channel(code.N, 2, rng)
         cov = theoretical_R(rc, ch.h0, ConstellationModel.iid_pm1(code.K), 0.0)
         n2 = float(ch.h0 @ ch.h0)
-        w = np.sort(np.linalg.eigvalsh(cov.R))
+        w = np.sort(np.linalg.eigvalsh(cov))
         nonzero = w[w > 1e-9 * w[-1]]
         assert len(nonzero) == code.K
         np.testing.assert_allclose(nonzero, n2, rtol=1e-12)
@@ -62,7 +79,7 @@ class TestTheoreticalR:
                                                      dtype=complex))
         cov = theoretical_R(rc, ch.h0, ConstellationModel.iid_pm1(4), 0.2)
         assert rc.block_rows == code.K  # no noise-floor eigenvalues here
-        np.testing.assert_allclose(np.linalg.eigvalsh(cov.R), 1.1,
+        np.testing.assert_allclose(np.linalg.eigvalsh(cov), 1.1,
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("M", [1, 2, 3])
@@ -72,7 +89,7 @@ class TestTheoreticalR:
         sigma2 = float(rng.uniform(0.0, 1.0))
         cm = ConstellationModel.correlated(random_spd(rng, code.K))
         cov = theoretical_R(rc, ch.h0, cm, sigma2)
-        got = np.sort(np.linalg.eigvalsh(cov.R))
+        got = np.sort(np.linalg.eigvalsh(cov))
         want = predicted_eigenvalues(rc, ch.h0, cm, sigma2)
         assert np.max(np.abs(got - want)) <= 1e-9 * max(want[-1], 1.0)
 
@@ -86,7 +103,7 @@ class TestTheoreticalR:
         cols = build_A(rc, ch.h0) @ cm.U
         for i in range(code.K):
             lam = n2 * cm.lambdas[i] + sigma2 / 2
-            resid = cov.R @ cols[:, i] - lam * cols[:, i]
+            resid = cov @ cols[:, i] - lam * cols[:, i]
             assert np.linalg.norm(resid) <= 1e-9 * lam * np.linalg.norm(cols[:, i])
 
 
@@ -115,9 +132,9 @@ class TestSimulate:
         rc = realify(cfg.code, cfg.M)
         R = theoretical_R(rc, ch.h0, cfg.constellation, cfg.sigma2)
         Rhat = sample_R(blocks)
-        scale = np.max(np.abs(np.diag(R.R)))
+        scale = np.max(np.abs(np.diag(R)))
         # law-of-large-numbers envelope, margin checked at this seed
-        assert np.max(np.abs(Rhat.R - R.R)) <= 3.5 * scale / np.sqrt(cfg.J)
+        assert np.max(np.abs(Rhat - R)) <= 3.5 * scale / np.sqrt(cfg.J)
 
     def test_validates_config(self):
         code = builtin_code("scalar")
@@ -147,18 +164,18 @@ class TestSimulate:
 class TestSampleR:
     def test_single_block(self):
         y = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(sample_R([y]).R, np.outer(y, y))
+        np.testing.assert_array_equal(sample_R([y]), np.outer(y, y))
 
     def test_two_opposite_blocks(self):
         e1 = np.array([1.0, 0.0, 0.0])
         cov = sample_R([e1, -e1])
-        np.testing.assert_array_equal(cov.R, np.diag([1.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(cov, np.diag([1.0, 0.0, 0.0]))
 
     def test_order_invariant(self, rng):
         blocks = rng.standard_normal((20, 4))
         perm = rng.permutation(20)
-        np.testing.assert_allclose(sample_R(blocks).R,
-                                   sample_R(blocks[perm]).R,
+        np.testing.assert_allclose(sample_R(blocks),
+                                   sample_R(blocks[perm]),
                                    rtol=0, atol=1e-14)
 
     def test_rejects_empty(self):
@@ -177,7 +194,7 @@ class TestEstimateChannel:
             h = rng.standard_normal(rc.channel_len)
             a = build_A(rc, h)
             lhs = h @ q @ h
-            rhs = np.trace(a.T @ cov.R @ a)
+            rhs = np.trace(a.T @ cov @ a)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
     def test_scalar_code_reduces_to_single_block(self, rng):
@@ -186,7 +203,7 @@ class TestEstimateChannel:
         cov = sample_R(rng.standard_normal((10, 2)))
         q = rayleigh_matrix(rc, cov)
         phi = dense_phi(rc)[0]
-        np.testing.assert_allclose(q, phi.T @ cov.R @ phi,
+        np.testing.assert_allclose(q, phi.T @ cov @ phi,
                                    rtol=0, atol=1e-14)
         h, _ = estimate_channel(rc, cov)
         w, v = np.linalg.eigh(q)
@@ -196,7 +213,7 @@ class TestEstimateChannel:
     def test_matches_dense_einsum(self, code, rng, M):
         rc = realify(code, M)
         cov = sample_R(rng.standard_normal((4 * rc.block_rows, rc.block_rows)))
-        scale = np.linalg.norm(cov.R)
+        scale = np.linalg.norm(cov)
         np.testing.assert_allclose(rayleigh_matrix(rc, cov),
                                    rayleigh_dense(rc, cov),
                                    rtol=0, atol=1e-13 * scale)

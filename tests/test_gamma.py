@@ -6,7 +6,7 @@ from ostbc_blind import (build_A, builtin_code, channel_kernel_matrix,
                          gamma_operator, lift_to_channel, overline, realify,
                          underline, unit_gammas, vec)
 
-from oracles import gamma_factored, kron, unit_gammas_loop
+from oracles import gamma_factored, gamma_sums, kron, unit_gammas_loop
 
 
 class TestGammaBlocks:
@@ -55,6 +55,12 @@ class TestGammaStack:
         b = np.kron(c3, np.eye(2))
         assert np.linalg.norm(gamma(alamouti, b)) <= 1e-12
 
+    def test_matches_defining_sums(self, code, rng):
+        for _ in range(20):
+            b = rng.standard_normal((code.K, code.K))
+            np.testing.assert_allclose(gamma(code, b), gamma_sums(code, b),
+                                       rtol=0, atol=1e-12)
+
     def test_matches_factored_form(self, code, rng):
         # same map through a completely different assembly
         for _ in range(20):
@@ -66,16 +72,17 @@ class TestGammaStack:
 class TestGammaOperator:
     def test_scalar_zero_operator(self):
         op = gamma_operator(builtin_code("scalar"))
-        np.testing.assert_array_equal(op.G, np.zeros((2, 1)))
+        np.testing.assert_array_equal(op, np.zeros((2, 1)))
+        assert not op.flags.writeable
 
     def test_alamouti_singular_values(self, alamouti):
-        s = np.linalg.svd(gamma_operator(alamouti).G, compute_uv=False)
+        s = np.linalg.svd(gamma_operator(alamouti), compute_uv=False)
         above = int(np.sum(s > 1e-9 * s[0]))
         assert above == 12
         assert len(s) - above == 4
 
     def test_threshold_insensitive_kernel_dim(self, code):
-        s = np.linalg.svd(gamma_operator(code).G, compute_uv=False)
+        s = np.linalg.svd(gamma_operator(code), compute_uv=False)
         if s[0] == 0.0:
             return  # zero operator: kernel is everything at any threshold
         dims = {int(np.sum(s <= rel * s[0]))
@@ -83,28 +90,28 @@ class TestGammaOperator:
         assert len(dims) == 1
 
     def test_real2_kernel_dim(self):
-        g = gamma_operator(builtin_code("real2")).G
+        g = gamma_operator(builtin_code("real2"))
         s = np.linalg.svd(g, compute_uv=False)
         assert int(np.sum(s <= 1e-9 * s[0])) == 2
 
     def test_identity_in_kernel(self, code):
         op = gamma_operator(code)
-        assert np.linalg.norm(op.G @ vec(np.eye(code.K))) <= 1e-14
+        assert np.linalg.norm(op @ vec(np.eye(code.K))) <= 1e-14
 
     def test_consistent_with_direct_evaluation(self, code, rng):
         op = gamma_operator(code)
         for _ in range(100):
             b = rng.standard_normal((code.K, code.K))
-            stacked = gamma(code, b).reshape(code.K, code.L, code.N)
+            stacked = gamma_sums(code, b).reshape(code.K, code.L, code.N)
             expected = np.concatenate([underline(blk) for blk in stacked])
-            np.testing.assert_allclose(op.G @ vec(b), expected,
+            np.testing.assert_allclose(op @ vec(b), expected,
                                        rtol=0, atol=1e-13)
 
     def test_unit_gammas_order_matches_vec(self, code, rng):
         gams = unit_gammas(code)
         b = rng.standard_normal((code.K, code.K))
         recombined = np.tensordot(vec(b), gams, axes=(0, 0))
-        np.testing.assert_allclose(recombined, gamma(code, b),
+        np.testing.assert_allclose(recombined, gamma_sums(code, b),
                                    rtol=0, atol=1e-12)
 
 
@@ -114,7 +121,7 @@ class TestLoopFreeAssembly:
         np.testing.assert_array_equal(unit_gammas(code), gams)
         per_block = [g.reshape(code.K, code.L, code.N) for g in gams]
         np.testing.assert_array_equal(
-            gamma_operator(code).G,
+            gamma_operator(code),
             np.column_stack([np.concatenate([underline(b) for b in blocks])
                              for blocks in per_block]))
         ch = draw_channel(code.N, 3, rng)
@@ -130,7 +137,7 @@ class TestChannelKernelMatrix:
         assert op.shape == (2 * code.L * code.K * 2, code.K ** 2)
         b = rng.standard_normal((code.K, code.K))
         np.testing.assert_allclose(op @ vec(b),
-                                   underline(gamma(code, b) @ ch.H0),
+                                   underline(gamma_sums(code, b) @ ch.H0),
                                    rtol=0, atol=1e-12)
 
     def test_realified_block_action(self, code, rng):

@@ -193,9 +193,9 @@ class TestEstimatorConnection:
         u, _ = np.linalg.qr(rng.standard_normal((code.K, code.K)))
         cm = ConstellationModel.correlated((u * lam) @ u.T)
         cov = theoretical_R(rc, ch.h0, cm, 0.4)
-        spec = SpectrumSpec.from_matrix(cov.R, code.K)
+        spec = SpectrumSpec.from_matrix(cov, code.K)
         n0 = np.linalg.norm(ch.h0)
         q = build_A(rc, ch.h0 / n0) @ cm.U
-        trace = np.trace(q.T @ cov.R @ q)
+        trace = np.trace(q.T @ cov @ q)
         assert abs(trace - kyfan_value(spec)) <= 1e-10 * max(1.0, kyfan_value(spec))
         assert kyfan_membership(spec, q, tol=1e-7)

@@ -58,6 +58,11 @@ class TestValidateCode:
         with pytest.raises(ValueError):
             validate_code(alamouti, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0])
+    def test_rejects_tol_outside_unit_interval(self, alamouti, bad):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            validate_code(alamouti, bad)
+
 
 class TestEncode:
     def test_first_unit_vector(self, alamouti):

@@ -124,6 +124,14 @@ class TestComputeBspace:
                 for tol in (1e-6, 1e-8, 1e-10, 1e-12)}
         assert len(dims) == 1
 
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 1e300, np.inf, np.nan])
+    def test_rejects_tol_outside_unit_interval(self, bad, alamouti, rng):
+        ch = draw_channel(alamouti.N, 1, rng)
+        with pytest.raises(ValueError, match=r"tol must be finite and in \(0, 1\)"):
+            compute_bspace(alamouti, ch, bad)
+        with pytest.raises(ValueError, match=r"tol must be finite and in \(0, 1\)"):
+            compute_bstar(alamouti, bad)
+
     def test_rejects_zero_channel(self, alamouti):
         from ostbc_blind import ChannelRealization
         zero = ChannelRealization(1, np.zeros((2, 1), dtype=complex),
