@@ -15,8 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import draw_channel
-from .subspace import compute_bspace, compute_bstar, principal_angles
+from .estimator import _gaussian_channel
+from .gamma import unit_gammas
+from .subspace import _angles, _channel_bases, _orth_basis, compute_bstar
+
+# Byte budget of the channel kernel matrices of one stacked pass. The
+# census runs the trials at one antenna count in chunks of as many trials
+# as fit, so its memory stays bounded for any trial or antenna count; the
+# other arrays of a pass are a small multiple of these matrices.
+CHUNK_BYTES = 1 << 22
 
 
 class CensusError(RuntimeError):
@@ -47,8 +54,22 @@ class CensusResult:
     records: tuple = field(repr=False)
 
 
+def _chunk_trials(code, M):
+    """Trials per stacked pass at M receive antennas, from CHUNK_BYTES."""
+    matrix_bytes = 2 * code.L * code.K * M * code.K ** 2 * 8
+    return max(1, CHUNK_BYTES // matrix_bytes)
+
+
 def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
     """Census M = 1..M_max and locate the critical antenna count.
+
+    Trial t at M draws its channel from the stream
+    ``np.random.default_rng([seed, M, t])``, so the records do not depend
+    on how the trials are grouped. The trials at one M run as stacked
+    passes of :func:`_chunk_trials` trials each: one SVD for the kernels
+    of the whole chunk and one for each principal-angle step, with the
+    checks and bits of :func:`compute_bspace` and
+    :func:`principal_angles` for every trial.
 
     The critical count is the smallest M at which every trial's subspace
     equals the invariant space (same dimension and all principal angles
@@ -62,20 +83,26 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     bstar = compute_bstar(code, tol)
+    unit = unit_gammas(code)
+    qstar = _orth_basis(bstar.basis)
     m_range = tuple(range(1, M_max + 1))
     d_mode = {}
     all_records = []
     matches = {}
     for M in m_range:
-        records = []
-        for trial in range(trials):
-            # One stream per (seed, M, trial): reproducible and independent
-            # of the order in which trials run.
-            rng = np.random.default_rng([seed, M, trial])
-            channel = draw_channel(code.N, M, rng)
-            sub = compute_bspace(code, channel, tol)
-            angle = float(np.max(principal_angles(sub.basis, bstar.basis)))
-            records.append(TrialRecord(code.name, M, trial, sub.dim, angle))
+        dims = np.empty(trials, dtype=int)
+        angles = np.empty(trials)
+        chunk = _chunk_trials(code, M)
+        for start in range(0, trials, chunk):
+            rngs = (np.random.default_rng([seed, M, t])
+                    for t in range(start, min(start + chunk, trials)))
+            H0 = np.stack([_gaussian_channel(code.N, M, rng) for rng in rngs])
+            for idx, bases in _channel_bases(code, unit, H0, tol):
+                dims[start + idx] = bases.shape[1]
+                for i, ang in _angles(bases, qstar):
+                    angles[start + idx[i]] = ang.max(axis=-1)
+        records = [TrialRecord(code.name, M, t, dim, angle) for t, (dim, angle)
+                   in enumerate(zip(dims.tolist(), angles.tolist()))]
         all_records.extend(records)
         hist = Counter(r.dim for r in records)
         if len(hist) != 1:

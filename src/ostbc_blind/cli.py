@@ -268,6 +268,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, "
+                             f"got {args.seed}")
         return args.func(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,13 +57,41 @@ def _check_tol(tol, name="tol"):
         raise ValueError(f"{name} must be finite and in (0, 1), got {tol}")
 
 
+def _by_value(keys):
+    """``[(value, indices)]`` for each distinct value of an integer array."""
+    return [(v, np.flatnonzero(keys == v)) for v in sorted(set(keys.tolist()))]
+
+
+def _kernels(m, rel_tol):
+    """Kernel bases of a stack of real matrices, from one stacked SVD.
+
+    ``m`` has shape (T, r, n). Each matrix's rank comes from its own
+    singular values, so the bases can differ in width: they come back
+    grouped by width as ``[(indices, bases)]``, ``bases`` of shape
+    (G, n, k) with C-ordered slices, together with the (T, min(r, n))
+    singular values. ``np.linalg.svd`` factors each matrix of a stack on
+    its own, so every slice has the bits of a one-matrix call.
+    """
+    _check_tol(rel_tol, "rel_tol")
+    r, n = m.shape[-2:]
+    _, s, vh = np.linalg.svd(m, full_matrices=r < n)
+    zero = ~s.any(axis=-1)
+    rank = np.where(zero, 0, np.sum(s >= rel_tol * s[:, :1], axis=-1))
+    vh[zero] = np.eye(n)
+    groups = [(idx, np.ascontiguousarray(vh[idx, k:].swapaxes(-1, -2)))
+              for k, idx in _by_value(rank)]
+    return groups, s
+
+
 def kernel(m, rel_tol=1e-9):
     """Orthonormal basis of the numerical kernel of a real matrix.
 
     Singular directions of one SVD whose singular value falls below
     ``rel_tol * sigma_max`` count as kernel; a wide matrix needs the full
     ``vh``, whose extra rows span the rest of the kernel. For the zero
-    matrix the full identity basis is returned.
+    matrix the full identity basis is returned. This is the one-matrix
+    case of the stacked kernel routine that the census runs on a whole
+    stack of channel kernel matrices with one SVD call.
 
     Args:
         m: real matrix, shape (r, n).
@@ -73,11 +101,6 @@ def kernel(m, rel_tol=1e-9):
         ``(basis, s)``: an (n, k) array with orthonormal columns spanning
         the kernel, and the singular values of ``m`` in descending order.
     """
-    _check_tol(rel_tol, "rel_tol")
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    r, n = m.shape
-    _, s, vh = np.linalg.svd(m, full_matrices=r < n)
-    if not s.any():
-        return np.eye(n), s
-    rank = int(np.sum(s >= rel_tol * s[0]))
-    return vh[rank:].T.copy(), s
+    [(_, basis)], s = _kernels(m[None], rel_tol)
+    return basis[0], s[0]

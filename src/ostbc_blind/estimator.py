@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .embed import _check_tol
 from .ostbc import ChannelRealization, build_A, realify
 from .subspace import compute_bspace, lift_to_channel
 
@@ -102,11 +103,16 @@ class EstimateReport:
 
 def draw_channel(N, M, rng):
     """Channel with i.i.d. complex Gaussian entries, unit variance per entry."""
+    return ChannelRealization.from_matrix(_gaussian_channel(N, M, rng))
+
+
+def _gaussian_channel(N, M, rng):
+    """The complex (N, M) channel matrix that :func:`draw_channel` draws."""
     if M < 1:
         raise ValueError(f"receive-antenna count must be >= 1, got {M}")
     H0 = (rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M)))
     H0 *= np.sqrt(0.5)
-    return ChannelRealization.from_matrix(H0)
+    return H0
 
 
 def theoretical_R(rc, h0, cm, sigma2):
@@ -266,6 +272,7 @@ def vector_subspace_angle(v, q):
 
 def run_estimate(config, tol=1e-9):
     """Full pipeline: simulate, estimate, decode, extract the ambiguity."""
+    _check_tol(tol)
     blocks, _, channel = simulate(config)
     rc = realify(config.code, config.M)
     h_hat, gap = estimate_channel(rc, sample_R(blocks))

@@ -76,12 +76,19 @@ def channel_kernel_matrix(code, H0):
     """Matrix of the map B -> underline(gamma(B) @ H0), acting on vec(B).
 
     Shape (2*L*K*M, K^2). Its kernel, reshaped to K x K matrices, is the
-    ambiguity space of the channel realization H0.
+    ambiguity space of the channel realization H0. A stack of channel
+    matrices, shape (T, N, M), gives the stack of their matrices, shape
+    (T, 2*L*K*M, K^2), with the bits of one matrix at a time.
     """
+    return _channel_kernel_matrices(unit_gammas(code), H0)
+
+
+def _channel_kernel_matrices(unit, H0):
+    """:func:`channel_kernel_matrix` from the code's :func:`unit_gammas`."""
     H0 = np.asarray(H0, dtype=complex)
-    M = H0.shape[1]
-    K, L = code.K, code.L
-    prods = unit_gammas(code) @ H0              # (K^2, LK, M)
+    KK, LK, _ = unit.shape
+    M = H0.shape[-1]
+    prods = unit @ H0[..., None, :, :]          # (..., K^2, LK, M)
     # Column p is underline(prods[p]): Re above Im, then column-major.
-    re_im = np.concatenate([prods.real, prods.imag], axis=1)
-    return re_im.transpose(2, 1, 0).reshape(2 * L * K * M, K * K)
+    re_im = np.concatenate([prods.real, prods.imag], axis=-2)
+    return re_im.swapaxes(-1, -3).reshape(*H0.shape[:-2], 2 * LK * M, KK)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import _check_tol, kernel, vec
-from .gamma import channel_kernel_matrix, gamma_operator
+from .embed import _by_value, _check_tol, _kernels, vec
+from .gamma import _channel_kernel_matrices, gamma_operator, unit_gammas
 from .ostbc import _apply_phi
 
 
@@ -62,48 +62,105 @@ class AmbiguitySubspace:
 
 
 def _fix_sign(b, rel=1e-8):
-    flat = b.ravel(order="C")
-    first = flat[np.argmax(np.abs(flat) > rel * np.max(np.abs(flat)))]
-    return -b if first < 0 else b
+    """Negate, in place, each K x K matrix of ``b`` (shape (..., K, K))
+    whose first significant entry in a row-major scan is negative."""
+    flat = b.reshape(*b.shape[:-2], b.shape[-2] * b.shape[-1])
+    mag = np.abs(flat)
+    first = np.argmax(mag > rel * mag.max(axis=-1, keepdims=True), axis=-1)
+    negative = np.take_along_axis(flat, first[..., None], axis=-1) < 0
+    np.negative(b, out=b, where=negative[..., None])
+    return b
 
 
 def _identity_first(span, K, resid_tol, error):
-    """Identity-seeded Frobenius Gram-Schmidt of the columns of ``span``."""
-    dim = span.shape[1]
+    """Identity-seeded Frobenius Gram-Schmidt of the columns of each span.
+
+    ``span`` is a stack (G, K^2, dim); returns the (G, dim, K^2) stack of
+    orthonormal rows, vec(I)/sqrt(K) first. Every inner product is a
+    row-times-column matmul, which numpy hands to the same BLAS dot as
+    ``u @ w`` on two vectors, so a stack gives the bits of its slices
+    taken one at a time. A slice stops taking columns once it holds
+    ``dim`` rows.
+    """
+    G, n, dim = span.shape
     u0 = vec(np.eye(K)) / np.sqrt(K)
-    resid = np.linalg.norm(u0 - span @ (span.T @ u0))
-    if resid > resid_tol:
-        raise error(f"identity not in the subspace span (residual {resid:.3e})")
-    taken = [u0]
-    for col in span.T:
-        if len(taken) == dim:
+    resid = np.linalg.norm(u0 - (span @ (u0 @ span)[..., None])[..., 0],
+                           axis=-1)
+    bad = np.flatnonzero(resid > resid_tol)
+    if bad.size:
+        raise error(f"identity not in the subspace span "
+                    f"(residual {resid[bad[0]]:.3e})")
+    taken = np.zeros((G, dim, n))
+    taken[:, 0] = u0
+    count = np.ones(G, dtype=int)
+    rows = np.arange(G)
+    for j in range(dim):
+        if (count == dim).all():
             break
-        w = col.copy()
+        w = span[:, :, j].copy()
         for _ in range(2):
-            for b in taken:
-                w -= (b @ w) * b
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-6:
-            taken.append(w / nrm)
-    if len(taken) != dim:
+            for i in range(count.max()):
+                b = taken[:, i]
+                c = (b[:, None, :] @ w[:, :, None])[:, 0]
+                w = np.where((i < count)[:, None], w - c * b, w)
+        nrm = np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0, 0]
+        accept = (nrm > 1e-6) & (count < dim)
+        taken[rows[accept], count[accept]] = w[accept] / nrm[accept, None]
+        count += accept
+    if (count != dim).any():
         raise error("orthonormalization lost subspace directions")
     return taken
 
 
-def _kernel_subspace(op, code, tol, kind, M=None, seed=None):
-    vecs, s = kernel(op, tol)
-    mats = [w.reshape((code.K, code.K), order="F")
-            for w in _identity_first(vecs, code.K, 1e-10, SubspaceError)]
-    basis = (mats[0], *map(_fix_sign, mats[1:]))
-    scale = tol * max(s[0], 1.0)
-    for b in basis:
-        residual = np.linalg.norm(op @ vec(b))
-        if residual > scale:
+def _kernel_bases(ops, K, tol):
+    """Ambiguity-space bases of a stack of operators acting on vec(B).
+
+    ``ops`` has shape (T, r, K^2). One stacked SVD gives every kernel;
+    each operator's kernel dimension comes from its own singular values,
+    so the bases come back grouped by dimension as ``[(indices, bases)]``,
+    ``bases`` a read-only (G, dim, K, K) stack of Frobenius-orthonormal
+    matrices, the normalized identity first and the others sign-fixed.
+    Every element must leave a residual of at most tol * max(sigma_max, 1)
+    under its own operator; the first operator that breaks a check raises
+    :class:`SubspaceError`.
+    """
+    groups, s = _kernels(ops, tol)
+    scale = tol * np.maximum(s[:, 0], 1.0)
+    bases = []
+    for idx, span in groups:
+        taken = _identity_first(span, K, 1e-10, SubspaceError)
+        mats = taken.reshape(len(idx), -1, K, K).swapaxes(-1, -2)
+        _fix_sign(mats[:, 1:])
+        residual = np.linalg.norm(ops[idx] @ taken.swapaxes(-1, -2), axis=-2)
+        over = np.argwhere(residual > scale[idx, None])
+        if over.size:
+            g, e = over[0]
             raise SubspaceError(
-                f"basis element leaves kernel residual {residual:.3e} "
-                f"above tol*scale {scale:.3e}")
-        b.setflags(write=False)
-    return AmbiguitySubspace(code, kind, M, len(basis), basis, tol, seed=seed)
+                f"basis element leaves kernel residual {residual[g, e]:.3e} "
+                f"above tol*scale {scale[idx[g]]:.3e}")
+        taken.setflags(write=False)
+        bases.append((idx, mats))
+    return bases
+
+
+def _channel_bases(code, unit, H0, tol):
+    """:func:`_kernel_bases` of a stack of channel matrices H0, (T, N, M).
+
+    ``unit`` is the code's :func:`unit_gammas`, built once per code.
+    """
+    if H0.shape[-2] != code.N:
+        raise ValueError(
+            f"channel has {H0.shape[-2]} transmit antennas, "
+            f"code {code.name!r} expects {code.N}")
+    if not H0.any(axis=(-2, -1)).all():
+        raise ValueError("zero channel matrix is rejected")
+    return _kernel_bases(_channel_kernel_matrices(unit, H0), code.K, tol)
+
+
+def _subspace(groups, code, tol, kind, M=None, seed=None):
+    [(_, mats)] = groups
+    return AmbiguitySubspace(code, kind, M, mats.shape[1], tuple(mats[0]), tol,
+                             seed=seed)
 
 
 def compute_bstar(code, tol=1e-9):
@@ -114,7 +171,8 @@ def compute_bstar(code, tol=1e-9):
     when the code is identifiable from second-order statistics.
     """
     _check_tol(tol)
-    return _kernel_subspace(gamma_operator(code), code, tol, "invariant")
+    ops = gamma_operator(code)[None]
+    return _subspace(_kernel_bases(ops, code.K, tol), code, tol, "invariant")
 
 
 def compute_bspace(code, channel, tol=1e-9, seed=None):
@@ -122,17 +180,14 @@ def compute_bspace(code, channel, tol=1e-9, seed=None):
 
     Kernel of B -> underline(gamma(B) @ H0). Always contains the
     channel-independent space; equals it with probability one once the
-    receive-antenna count reaches the code's critical value.
+    receive-antenna count reaches the code's critical value. This is the
+    one-channel case of the stacked routine that the census runs on a
+    chunk of channel draws at a time: one SVD for the whole stack, and
+    the same checks and bits for every channel as here.
     """
     _check_tol(tol)
-    if channel.H0.shape[0] != code.N:
-        raise ValueError(
-            f"channel has {channel.H0.shape[0]} transmit antennas, "
-            f"code {code.name!r} expects {code.N}")
-    if np.linalg.norm(channel.h0) == 0.0:
-        raise ValueError("zero channel matrix is rejected")
-    op = channel_kernel_matrix(code, channel.H0)
-    return _kernel_subspace(op, code, tol, "channel", M=channel.M, seed=seed)
+    groups = _channel_bases(code, unit_gammas(code), channel.H0[None], tol)
+    return _subspace(groups, code, tol, "channel", M=channel.M, seed=seed)
 
 
 def lift_to_channel(rc, h0, B):
@@ -181,7 +236,7 @@ def hr_basis(sub):
     """
     K = sub.code.K
     span = np.column_stack([vec(b) for b in sub.basis])
-    taken = _identity_first(span, K, 1e-8, AmbiguityStructureError)
+    [taken] = _identity_first(span[None], K, 1e-8, AmbiguityStructureError)
     family = []
     for w in taken[1:]:
         b = w.reshape((K, K), order="F")
@@ -223,13 +278,57 @@ def check_pure_rotation(B, tol=1e-8):
     return c, bool(dev <= tol * c and np.linalg.det(B) > 0)
 
 
+def _columns(bases):
+    """Stack (T, dim, p, q) of matrix bases -> (T, p*q, dim) of their vecs."""
+    b = np.asarray(bases, dtype=float)
+    return b.swapaxes(-1, -2).reshape(*b.shape[:-2], -1).swapaxes(-1, -2)
+
+
 def _orth(a):
-    """Orthonormal basis of the column space of ``a`` from a thin SVD."""
+    """Orthonormal bases of the column spaces of a stack (T, n, k).
+
+    One stacked thin SVD; each slice's rank comes from its own singular
+    values, and the bases come back grouped by rank as
+    ``[(indices, q)]``, q of shape (G, n, rank).
+    """
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cut = np.finfo(float).eps * max(a.shape) * s[0]
-    # Fortran order, as LAPACK returns it, fixes the BLAS kernels of the
-    # products below and so the last bits of the angles.
-    return np.asfortranarray(u[:, :int(np.sum(s > cut))])
+    cut = np.finfo(float).eps * max(a.shape[-2:]) * s[:, :1]
+    # Each slice in Fortran order, as LAPACK returns it: that fixes the
+    # BLAS kernels of the products below and so the last bits of the angles.
+    return [(idx, np.ascontiguousarray(u[idx, :, :k].swapaxes(-1, -2))
+             .swapaxes(-1, -2))
+            for k, idx in _by_value(np.sum(s > cut, axis=-1))]
+
+
+def _angles(bases, qb):
+    """Principal angles between the span of each basis of a stack and qb.
+
+    ``bases`` is a stack (T, dim, p, q) of matrix bases and ``qb`` an
+    orthonormal (p*q, kb) basis from :func:`_orth_basis`. One stacked SVD
+    per step for the whole stack (more only when ranks differ); returns
+    ``[(indices, angles)]`` grouped by the rank of bases[t], each row as
+    :func:`principal_angles` orders it.
+    """
+    groups = []
+    for idx, qa in _orth(_columns(bases)):
+        cross = qa.swapaxes(-1, -2) @ qb
+        sigma = np.linalg.svd(cross, compute_uv=False)
+        if qa.shape[-1] >= qb.shape[-1]:
+            resid = qb - qa @ cross
+        else:
+            resid = qa - qb @ cross.swapaxes(-1, -2)
+        mu = np.arcsin(np.clip(np.linalg.svd(resid, compute_uv=False),
+                               -1.0, 1.0))
+        groups.append((idx, np.where(
+            sigma ** 2 >= 0.5, mu,
+            np.arccos(np.clip(sigma[..., ::-1], -1.0, 1.0)))))
+    return groups
+
+
+def _orth_basis(basis):
+    """Orthonormal (n, k) basis of the span of one sequence of matrices."""
+    [(_, q)] = _orth(_columns([basis]))
+    return q[0]
 
 
 def principal_angles(basis_a, basis_b):
@@ -238,19 +337,12 @@ def principal_angles(basis_a, basis_b):
     Follows Knyazev and Argentati (2002): cosines from the singular values
     of Qa^T Qb, and arcsines of the residual's singular values for angles
     below pi/4, where the cosine loses precision. Returned in descending
-    order, as many as the smaller dimension.
+    order, as many as the smaller dimension. This is the one-pair case of
+    the stacked angles that the census computes for a whole chunk of
+    trials against the invariant space, with the same bits per pair.
     """
-    qa = _orth(np.column_stack([vec(b) for b in basis_a]))
-    qb = _orth(np.column_stack([vec(b) for b in basis_b]))
-    cross = qa.T @ qb
-    sigma = np.linalg.svd(cross, compute_uv=False)
-    if qa.shape[1] >= qb.shape[1]:
-        resid = qb - qa @ cross
-    else:
-        resid = qa - qb @ cross.T
-    mu = np.arcsin(np.clip(np.linalg.svd(resid, compute_uv=False), -1.0, 1.0))
-    return np.where(sigma ** 2 >= 0.5, mu,
-                    np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
+    [(_, angles)] = _angles([basis_a], _orth_basis(basis_b))
+    return angles[0]
 
 
 def spans_match(basis_a, basis_b, angle_tol=1e-8):

@@ -5,12 +5,15 @@ the defining double sum and the factored product form for the ambiguity
 blocks, explicit Kronecker products for the dense channel operators and
 the channel lift, exact rational arithmetic (sympy) for kernel
 dimensions, per-column loops for the assembled operators, scipy for
-principal angles, and one batch of draws for the Ky Fan sample check.
+principal angles, one batch of draws for the Ky Fan sample check, and
+one trial at a time for the census.
 """
 
 import numpy as np
 
-from ostbc_blind import overline, random_stiefel
+from ostbc_blind import (compute_bspace, compute_bstar, draw_channel,
+                         overline, principal_angles, random_stiefel)
+from ostbc_blind.census import TrialRecord
 
 
 def kron(a, b):
@@ -93,6 +96,20 @@ def unit_gammas_loop(code):
         blocks[s] -= C[r]
         out[p] = blocks.reshape(L * K, N)
     return out
+
+
+def census_records_per_trial(code, M_max, trials, seed, tol=1e-9):
+    """Census records by compute_bspace and principal_angles, one trial
+    at a time, each channel from its own (seed, M, trial) stream."""
+    bstar = compute_bstar(code, tol)
+    records = []
+    for M in range(1, M_max + 1):
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, M, trial])
+            sub = compute_bspace(code, draw_channel(code.N, M, rng), tol)
+            angle = float(np.max(principal_angles(sub.basis, bstar.basis)))
+            records.append(TrialRecord(code.name, M, trial, sub.dim, angle))
+    return records
 
 
 def scipy_principal_angles(basis_a, basis_b):

@@ -1,18 +1,19 @@
 import csv
-import dataclasses
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from ostbc_blind import (CensusError, builtin_code, census_summary,
-                         compute_bspace, compute_bstar, draw_channel,
-                         find_mstar, write_census_csv)
+                         channel_kernel_matrix, compute_bspace, compute_bstar,
+                         draw_channel, find_mstar, write_census_csv)
 from ostbc_blind import census
 from ostbc_blind.ostbc import ChannelRealization
 
-from oracles import exact_channel_dim, exact_invariant_dim
+from oracles import (census_records_per_trial, exact_channel_dim,
+                     exact_invariant_dim)
 
 # Dimensions fixed by the exact rational-arithmetic oracle (see oracles.py):
 # for every builtin code the channel space already equals the invariant
@@ -67,20 +68,83 @@ class TestDimensionCensus:
 
     def test_disagreeing_trials_raise_with_histogram(self, alamouti,
                                                      monkeypatch):
-        original = census.compute_bspace
-        calls = []
+        original = census._channel_bases
+        seen = []
 
-        def every_third_larger(code, channel, tol):
-            sub = original(code, channel, tol)
-            calls.append(sub)
-            if len(calls) % 3 == 0:
-                sub = dataclasses.replace(sub, dim=sub.dim + 1)
-            return sub
+        def every_third_larger(code, unit, H0, tol):
+            [(idx, bases)] = original(code, unit, H0, tol)
+            larger = (len(seen) + idx + 1) % 3 == 0
+            seen.extend(idx)
+            grown = np.concatenate([bases, bases[:, -1:]], axis=1)
+            return [(idx[~larger], bases[~larger]),
+                    (idx[larger], grown[larger])]
 
-        monkeypatch.setattr(census, "compute_bspace", every_third_larger)
+        monkeypatch.setattr(census, "_channel_bases", every_third_larger)
         with pytest.raises(CensusError,
                            match=r"M=1: observed dimensions \{4: 4, 5: 2\}"):
             find_mstar(alamouti, 2, 6, seed=3)
+
+
+def as_rows(records):
+    """Records with each angle as its repr, so equality is bitwise."""
+    return [(r.code, r.M, r.trial, r.dim, repr(r.max_angle_to_bstar))
+            for r in records]
+
+
+def kernel_matrix_bytes(code, M):
+    return channel_kernel_matrix(code, np.ones((code.N, M))).nbytes
+
+
+class TestBatchedCensus:
+    """find_mstar stacks trials; records equal one-trial-at-a-time runs."""
+
+    @pytest.mark.parametrize("seed", [5, 123])
+    def test_matches_per_trial_oracle(self, code, seed):
+        result = find_mstar(code, code.N + 1, 12, seed)
+        oracle = census_records_per_trial(code, code.N + 1, 12, seed)
+        assert as_rows(result.records) == as_rows(oracle)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries(self, code, monkeypatch, offset):
+        # Budget for 8 trials at M=1, so 4 at M=2 and 2 at M=3.
+        monkeypatch.setattr(census, "CHUNK_BYTES",
+                            8 * kernel_matrix_bytes(code, 1))
+        assert [census._chunk_trials(code, M) for M in (1, 2, 3)] == [8, 4, 2]
+        trials = 4 + offset
+        result = find_mstar(code, 3, trials, seed=17)
+        oracle = census_records_per_trial(code, 3, trials, seed=17)
+        assert as_rows(result.records) == as_rows(oracle)
+
+    def test_stacked_svd_count(self, alamouti, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        find_mstar(alamouti, 4, 100, 5)
+        # B*: its kernel and its orthonormal basis; per M: the kernels,
+        # the trials' orthonormal bases and the two angle steps.
+        assert len(calls) <= 2 + 4 * 4, calls
+
+    def test_memory_bounded_by_chunk(self, alamouti, monkeypatch):
+        monkeypatch.setattr(census, "CHUNK_BYTES",
+                            64 * kernel_matrix_bytes(alamouti, 1))
+        chunk = census._chunk_trials(alamouti, 1)
+        assert chunk == 64
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                find_mstar(alamouti, 1, trials, seed=11)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(chunk)  # warm up lazy imports and caches
+        assert peak(5 * chunk) < 2 * peak(chunk)
 
 
 class TestFindMstar:

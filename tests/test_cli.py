@@ -10,7 +10,7 @@ import pytest
 
 import ostbc_blind
 from ostbc_blind import code_to_dict, builtin_code
-from ostbc_blind import cli
+from ostbc_blind import cli, estimator
 from ostbc_blind.cli import main
 
 
@@ -355,6 +355,27 @@ class TestHostileInput:
     ], ids=lambda argv: " ".join(argv[:3] + argv[-1:]))
     def test_tolerance_outside_unit_interval(self, argv, capsys):
         self.assert_one_error(argv, capsys, "tol must be finite and in (0, 1)")
+
+    def test_estimate_checks_tol_before_simulating(self, monkeypatch, capsys):
+        def no_simulation(config):
+            raise AssertionError("simulate ran before the tolerance check")
+
+        monkeypatch.setattr(estimator, "simulate", no_simulation)
+        self.assert_one_error(
+            ["estimate", "--code", "alamouti", "--rx", "256", "--blocks",
+             "1000", "--sigma2", "0.1", "--seed", "1", "--tol", "nan"],
+            capsys, "tol must be finite and in (0, 1)")
+
+    @pytest.mark.parametrize("argv", [
+        ["bspace", "--code", "alamouti", "--rx", "2", "--seed", "-1"],
+        ["census", "--code", "alamouti", "--rx-max", "1", "--trials", "2",
+         "--seed", "-1"],
+        ["estimate", "--code", "alamouti", "--rx", "2", "--blocks", "10",
+         "--sigma2", "0.1", "--seed", "-1"],
+        ["kyfan", "--m", "4", "--q", "2", "--seed", "-1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed(self, argv, capsys):
+        self.assert_one_error(argv, capsys, "--seed")
 
     def test_non_finite_code_entry(self, tmp_path, capsys):
         payload = code_to_dict(builtin_code("alamouti"))
