@@ -4,11 +4,10 @@ from .census import (CensusError, CensusResult, census_summary, find_mstar,
                      write_census_csv)
 from .embed import (kernel, matrix_from_underline, overline, underline,
                     unvec, vec)
-from .estimator import (ConstellationModel, EstimateReport, SimulationConfig,
-                        ambiguity_matrix, decode, draw_channel,
-                        estimate_channel, predicted_eigenvalues,
-                        rayleigh_matrix, run_estimate, sample_R, simulate,
-                        theoretical_R)
+from .estimator import (ConstellationModel, ConvergenceError, EstimateReport,
+                        SimulationConfig, ambiguity_matrix, decode,
+                        draw_channel, estimate_channel, predicted_eigenvalues,
+                        run_estimate, sample_R, simulate, theoretical_R)
 from .gamma import (channel_kernel_matrix, gamma, gamma_k, gamma_operator,
                     unit_gammas)
 from .kyfan import (KyFanError, KyFanSampleReport, SpectrumSpec,

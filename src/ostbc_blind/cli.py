@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from .census import CensusError, census_summary, find_mstar, write_census_csv
-from .estimator import (ConstellationModel, SimulationConfig, draw_channel,
-                        run_estimate)
+from .estimator import (ConstellationModel, ConvergenceError,
+                        SimulationConfig, draw_channel, run_estimate)
 from .kyfan import KyFanError, SpectrumSpec, kyfan_sample_check
 from .ostbc import (BUILTIN_CODE_NAMES, VALIDATION_TOL, CodeFormatError,
                     CodeValidationError, builtin_code, load_code,
@@ -22,7 +22,8 @@ from .subspace import (AmbiguityStructureError, SubspaceError, compute_bspace,
                        compute_bstar, hr_basis, subspace_report)
 
 _ERRORS = (ValueError, KeyError, OSError, CodeFormatError, CodeValidationError,
-           SubspaceError, AmbiguityStructureError, CensusError, KyFanError)
+           SubspaceError, AmbiguityStructureError, CensusError, KyFanError,
+           ConvergenceError)
 
 
 def _add_code_args(parser):

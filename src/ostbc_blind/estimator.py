@@ -2,10 +2,14 @@
 
 The received block in real coordinates is y = A(h0) s + w. The blind
 estimator maximizes tr{A(h)^T R A(h)} / |h|^2 over channel vectors h,
-which is a Rayleigh quotient: tr{A(h)^T R A(h)} = h^T (sum_k Phi_k^T R
-Phi_k) h, so the maximizer is the dominant eigenvector of that matrix.
-Phi_k = I_M (x) overline(C_k) is applied one receive antenna at a time
-and never formed.
+which is a Rayleigh quotient: tr{A(h)^T R A(h)} = h^T Q h with
+Q = sum_k Phi_k^T R Phi_k, so the maximizer is a top eigenvector of Q.
+Q is never formed: block subspace iteration with Rayleigh-Ritz applies it
+to a thin block straight from the K blocks overline(C_k) and R, one
+receive antenna at a time (Phi_k = I_M (x) overline(C_k)), and stops on
+the residuals of the top two Ritz pairs. For codes that are not
+identifiable the top eigenspace is degenerate, and the unit vector that
+comes back is fixed by the solver's constant start block.
 The estimate is reported unit-norm; the residual scalar factor is not
 resolved here, and all comparisons downstream are scale invariant.
 """
@@ -16,7 +20,7 @@ import numpy as np
 
 from .embed import _check_tol
 from .ostbc import ChannelRealization, build_A, realify
-from .subspace import compute_bspace, lift_to_channel
+from .subspace import compute_bspace, lift_to_channel, principal_angles
 
 
 @dataclass(frozen=True)
@@ -171,23 +175,32 @@ def sample_R(blocks):
     return (R + R.T) / 2
 
 
-def rayleigh_matrix(rc, R):
-    """The 2MN x 2MN matrix sum_k Phi_k^T R Phi_k for a (2ML, 2ML) array R.
+class ConvergenceError(RuntimeError):
+    """The top eigenspace did not converge within :data:`MAX_STEPS` steps."""
 
-    Satisfies h^T Q h = tr{A(h)^T R A(h)} for every h, which reduces the
-    trace maximization over normalized channel vectors to a symmetric
-    eigenproblem. With Phi_k = I_M (x) overline(C_k), the (m, m') block of
-    Q is the sum over k of c_k^T R_{mm'} c_k, where R_{mm'} is the 2L x 2L
-    block of R between receive antennas m and m'. The terms are added in
-    the order k = 0..K-1; for the builtin codes each c_k is a signed
-    permutation, so every term is exact and only that order can move a bit.
+
+#: Step limit of the subspace iteration in :func:`estimate_channel`.
+MAX_STEPS = 5000
+#: The top two Ritz pairs are converged once both residuals are at most
+#: this times the top Ritz value.
+RITZ_TOL = 1e-10
+
+
+def _rayleigh_product(rc, R, V):
+    """Q V with Q = sum_k Phi_k^T R Phi_k, for a (2MN, p) block V.
+
+    The K blocks overline(C_k) are stacked as one (2L*K, 2N) array with
+    rows ordered (row of C_k, k). One product per receive antenna then
+    gives every Phi_k V at once, as the (2ML, K*p) array whose column
+    block k is Phi_k V; one GEMM applies R to all of them; one product per
+    antenna sums the K terms Phi_k^T (R Phi_k V). No 2MN x 2MN array is
+    formed, and the GEMM costs (2ML)^2 K p.
     """
-    M, two_l = rc.M, 2 * rc.code.L
-    R = np.asarray(R, dtype=float).reshape(M, two_l, M * two_l)
-    Q = np.zeros((rc.channel_len, rc.channel_len))
-    for c in rc.blocks:
-        Q += ((c.T @ R).reshape(-1, two_l) @ c).reshape(Q.shape)
-    return (Q + Q.T) / 2
+    M, p = rc.M, V.shape[1]
+    cs = rc.blocks.transpose(1, 0, 2).reshape(-1, 2 * rc.code.N)
+    X = (cs @ V.reshape(M, -1, p)).reshape(rc.block_rows, -1)
+    Y = (R @ X).reshape(M, -1, p)
+    return (cs.T @ Y).reshape(rc.channel_len, p)
 
 
 def _fix_vector_sign(v):
@@ -198,23 +211,60 @@ def _fix_vector_sign(v):
 def estimate_channel(rc, R):
     """Unit-norm maximizer of tr{A(h)^T R A(h)} over normalized h.
 
-    ``R`` is a (2ML, 2ML) covariance array, as :func:`sample_R` returns.
-    Returns ``(h_hat, gap)``: a dominant eigenvector of the Rayleigh
-    matrix and the relative gap between its two largest eigenvalues. The
-    top eigenvalue's multiplicity equals the dimension of the channel's
-    ambiguity space, so it is degenerate by structure whenever the code is
-    not identifiable; for the builtin codes at every M it is 4 for
-    alamouti, 2 for alamouti-k2 and real2, 1 for alamouti-k3 and scalar.
-    Any unit vector of that eigenspace may then come back, and which one
-    depends on the last bits of the matrix, so on the order in which
-    :func:`rayleigh_matrix` sums its K terms; the ambiguity residual and
-    the subspace angle do not. The returned vector's largest-magnitude
-    entry is made positive for reproducibility.
+    ``R`` is a symmetric positive semidefinite (2ML, 2ML) array, such as
+    :func:`sample_R` or :func:`theoretical_R` returns. The criterion is the
+    Rayleigh quotient of Q = sum_k Phi_k^T R Phi_k, and its maximizer is a
+    top eigenvector of Q. Q is only applied to thin blocks, by
+    :func:`_rayleigh_product`, and never formed.
+
+    The solver is block subspace iteration with Rayleigh-Ritz on
+    p = min(2MN, K^2 + 4) columns: the signal part of Q has rank at most
+    K^2, so the block holds it and four more directions. The start block
+    is Gaussian from a generator of its own seeded 0, so no simulation
+    stream moves. Each step orthonormalizes the block (QR), applies Q once
+    and takes the eigenpairs (theta_i, u_i) of the p x p projection. The
+    next block is Q V - (theta_p / 2) V: Q is positive semidefinite, so
+    that shift centres the unwanted spectrum [0, theta_p] on zero and
+    roughly halves the steps where the second Ritz pair sits in the noise
+    bulk. The iteration stops once |Q u_i - theta_i u_i| <= ``RITZ_TOL`` *
+    theta_1 for the top two pairs, and raises :class:`ConvergenceError`
+    after ``MAX_STEPS`` steps. When p = 2MN the block is the whole space,
+    and the first step is the exact dense solve.
+
+    Returns ``(h_hat, gap)``: the top Ritz vector, its largest-magnitude
+    entry made positive, and the relative gap (theta_1 - theta_2) /
+    theta_1. The top eigenvalue's multiplicity equals the dimension of the
+    channel's ambiguity space, so it is degenerate by structure whenever
+    the code is not identifiable; for the builtin codes at every M it is 4
+    for alamouti, 2 for alamouti-k2 and real2, 1 for alamouti-k3 and
+    scalar. Which unit vector of a degenerate eigenspace comes back is then
+    fixed by the start block; the ambiguity residual and the subspace
+    angle do not depend on it.
     """
-    w, vecs = np.linalg.eigh(rayleigh_matrix(rc, R))
-    h = vecs[:, -1]
-    gap = (w[-1] - w[-2]) / max(abs(w[-1]), 1e-300)
-    return _fix_vector_sign(h / np.linalg.norm(h)), float(gap)
+    R = np.asarray(R, dtype=float)
+    if not np.isfinite(R).all():
+        raise ValueError("covariance has non-finite entries")
+    n = rc.channel_len
+    p = min(n, rc.code.K ** 2 + 4)
+    V = np.linalg.qr(np.random.default_rng(0).standard_normal((n, p)))[0]
+    for _ in range(MAX_STEPS):
+        QV = _rayleigh_product(rc, R, V)
+        H = V.T @ QV
+        theta, S = np.linalg.eigh((H + H.T) / 2)
+        top = S[:, :-3:-1]
+        u = V @ top
+        resid = np.linalg.norm(QV @ top - u * theta[:-3:-1], axis=0)
+        if resid.max() <= RITZ_TOL * abs(theta[-1]):
+            h = u[:, 0] / np.linalg.norm(u[:, 0])
+            gap = (theta[-1] - theta[-2]) / max(abs(theta[-1]), 1e-300)
+            return _fix_vector_sign(h), float(gap)
+        QV -= (theta[0] / 2) * V
+        V = np.linalg.qr(QV)[0]
+        del QV   # only V is held across the next product, the peak
+    raise ConvergenceError(
+        f"top eigenspace did not converge in {MAX_STEPS} subspace-iteration "
+        f"steps: Ritz residual {resid.max():.3e} above "
+        f"{RITZ_TOL:g} * {abs(theta[-1]):.3e}")
 
 
 def decode(rc, h_hat, y):
@@ -253,23 +303,6 @@ def ambiguity_matrix(rc, h0, h_hat):
     return B_hat, residual
 
 
-def lifted_basis(rc, channel, sub):
-    """Orthonormal channel-side basis: normalized lifts of the B-basis."""
-    cols = []
-    for b in sub.basis:
-        h = lift_to_channel(rc, channel.h0, b)
-        cols.append(h / np.linalg.norm(h))
-    q, _ = np.linalg.qr(np.column_stack(cols))
-    return q
-
-
-def vector_subspace_angle(v, q):
-    """Angle (radians) between a vector and the span of orthonormal columns."""
-    v = v / np.linalg.norm(v)
-    resid = v - q @ (q.T @ v)
-    return float(np.arcsin(min(1.0, np.linalg.norm(resid))))
-
-
 def run_estimate(config, tol=1e-9):
     """Full pipeline: simulate, estimate, decode, extract the ambiguity."""
     _check_tol(tol)
@@ -279,6 +312,7 @@ def run_estimate(config, tol=1e-9):
     s_hat = decode(rc, h_hat, blocks)
     B_hat, residual = ambiguity_matrix(rc, channel.h0, h_hat)
     sub = compute_bspace(config.code, channel, tol, seed=config.seed)
-    q = lifted_basis(rc, channel, sub)
-    angle = vector_subspace_angle(h_hat, q)
-    return EstimateReport(h_hat, s_hat, B_hat, residual, angle, gap, blocks)
+    lifts = [lift_to_channel(rc, channel.h0, b)[:, None] for b in sub.basis]
+    [angle] = principal_angles([h_hat[:, None]], lifts)
+    return EstimateReport(h_hat, s_hat, B_hat, residual, float(angle), gap,
+                          blocks)

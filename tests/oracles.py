@@ -5,14 +5,16 @@ the defining double sum and the factored product form for the ambiguity
 blocks, explicit Kronecker products for the dense channel operators and
 the channel lift, exact rational arithmetic (sympy) for kernel
 dimensions, per-column loops for the assembled operators, scipy for
-principal angles, one batch of draws for the Ky Fan sample check, and
-one trial at a time for the census.
+principal angles, a QR and an arcsine for the angle between a vector and
+a subspace, one batch of draws for the Ky Fan sample check, and one
+trial at a time for the census.
 """
 
 import numpy as np
 
 from ostbc_blind import (compute_bspace, compute_bstar, draw_channel,
-                         overline, principal_angles, random_stiefel)
+                         lift_to_channel, overline, principal_angles,
+                         random_stiefel)
 from ostbc_blind.census import TrialRecord
 
 
@@ -71,6 +73,25 @@ def rayleigh_dense(rc, R):
     phi = dense_phi(rc)
     Q = np.einsum("kia,ij,kjb->ab", phi, R, phi, optimize=True)
     return (Q + Q.T) / 2
+
+
+def lifted_basis(rc, channel, sub):
+    """Orthonormal channel-side basis: normalized lifts of the B-basis,
+    by a QR."""
+    cols = []
+    for b in sub.basis:
+        h = lift_to_channel(rc, channel.h0, b)
+        cols.append(h / np.linalg.norm(h))
+    q, _ = np.linalg.qr(np.column_stack(cols))
+    return q
+
+
+def vector_subspace_angle(v, q):
+    """Angle (radians) between a vector and the span of orthonormal
+    columns, as the arcsine of the residual norm."""
+    v = v / np.linalg.norm(v)
+    resid = v - q @ (q.T @ v)
+    return float(np.arcsin(min(1.0, np.linalg.norm(resid))))
 
 
 def build_A_dense(rc, h):

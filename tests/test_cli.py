@@ -233,6 +233,9 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         ["estimate", "--code", "alamouti", "--rx", "3", "--blocks", "500",
          "--sigma2", "0.01", "--seed", "7", "--json", "estimate.json",
          "--dump-blocks", "blocks.csv"],
+        # 2MN = 256 > K^2 + 4: the iterative path, not the whole space
+        ["estimate", "--code", "alamouti", "--rx", "64", "--blocks", "500",
+         "--sigma2", "0.01", "--seed", "7", "--json", "estimate-rx64.json"],
         ["census", "--code", "alamouti-k2", "--rx-max", "2", "--trials", "5",
          "--seed", "11", "--csv", "census.csv", "--json", "census.json"],
     ]
@@ -248,7 +251,7 @@ def test_outputs_independent_of_blas_threads(tmp_path):
                              check=True, timeout=120)
         assert out.stderr == ""
         files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
-        assert len(files) == 5
+        assert len(files) == 6
         results.append((out.stdout, files))
     assert results[0] == results[1]
 
@@ -376,6 +379,13 @@ class TestHostileInput:
     ], ids=lambda argv: argv[0])
     def test_negative_seed(self, argv, capsys):
         self.assert_one_error(argv, capsys, "--seed")
+
+    def test_estimate_that_does_not_converge(self, monkeypatch, capsys):
+        # at M=64 and sigma2=10 the subspace iteration needs several steps
+        monkeypatch.setattr(estimator, "MAX_STEPS", 1)
+        self.assert_one_error(
+            ["estimate", "--code", "alamouti", "--rx", "64", "--blocks", "500",
+             "--sigma2", "10", "--seed", "1"], capsys, "did not converge")
 
     def test_non_finite_code_entry(self, tmp_path, capsys):
         payload = code_to_dict(builtin_code("alamouti"))

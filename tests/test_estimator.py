@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ostbc_blind import (ChannelRealization, ConstellationModel,
-                         SimulationConfig, ambiguity_matrix, build_A,
-                         builtin_code, compute_bspace, decode, draw_channel,
-                         encode, estimate_channel, lift_to_channel,
-                         predicted_eigenvalues, rayleigh_matrix, realify,
-                         run_estimate, sample_R, simulate, theoretical_R,
-                         underline, vec)
-from oracles import build_A_dense, dense_phi, rayleigh_dense
+                         ConvergenceError, SimulationConfig, ambiguity_matrix,
+                         build_A, builtin_code, cli, compute_bspace, decode,
+                         draw_channel, encode, estimate_channel, estimator,
+                         lift_to_channel, predicted_eigenvalues,
+                         principal_angles, realify, run_estimate, sample_R,
+                         simulate, theoretical_R, underline, vec)
+from oracles import (build_A_dense, dense_phi, lifted_basis, rayleigh_dense,
+                     vector_subspace_angle)
 
 
 def random_spd(rng, k, lo=0.5, hi=2.0):
@@ -185,15 +188,14 @@ class TestSampleR:
 
 class TestEstimateChannel:
     def test_trace_identity(self, code, rng):
-        # h^T Q h = tr{A(h)^T R A(h)} for arbitrary symmetric R
+        # h^T (Q h) = tr{A(h)^T R A(h)} for arbitrary symmetric R
         rc = realify(code, 2)
         g = rng.standard_normal((rc.block_rows, rc.block_rows))
         cov = sample_R(g)  # arbitrary PSD matrix
-        q = rayleigh_matrix(rc, cov)
         for _ in range(10):
             h = rng.standard_normal(rc.channel_len)
             a = build_A(rc, h)
-            lhs = h @ q @ h
+            lhs = h @ estimator._rayleigh_product(rc, cov, h[:, None])[:, 0]
             rhs = np.trace(a.T @ cov @ a)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
@@ -201,7 +203,7 @@ class TestEstimateChannel:
         code = builtin_code("scalar")
         rc = realify(code, 1)
         cov = sample_R(rng.standard_normal((10, 2)))
-        q = rayleigh_matrix(rc, cov)
+        q = rayleigh_dense(rc, cov)
         phi = dense_phi(rc)[0]
         np.testing.assert_allclose(q, phi.T @ cov @ phi,
                                    rtol=0, atol=1e-14)
@@ -214,9 +216,12 @@ class TestEstimateChannel:
         rc = realify(code, M)
         cov = sample_R(rng.standard_normal((4 * rc.block_rows, rc.block_rows)))
         scale = np.linalg.norm(cov)
-        np.testing.assert_allclose(rayleigh_matrix(rc, cov),
-                                   rayleigh_dense(rc, cov),
-                                   rtol=0, atol=1e-13 * scale)
+        dense = rayleigh_dense(rc, cov)
+        for p in (1, 5, rc.channel_len):
+            V = rng.standard_normal((rc.channel_len, p))
+            np.testing.assert_allclose(
+                estimator._rayleigh_product(rc, cov, V), dense @ V,
+                rtol=0, atol=1e-13 * scale * np.linalg.norm(V))
 
     @pytest.mark.parametrize("M", [1, 3, 32, 64])
     def test_estimate_lies_in_dense_top_eigenspace(self, code, M):
@@ -240,13 +245,79 @@ class TestEstimateChannel:
         cm = ConstellationModel.correlated(random_spd(rng, code.K))
         cov = theoretical_R(rc, ch.h0, cm, 0.1)
         sub = compute_bspace(code, ch)
-        w, v = np.linalg.eigh(rayleigh_matrix(rc, cov))
+        w, v = np.linalg.eigh(rayleigh_dense(rc, cov))
         top = w >= w[-1] - 1e-8 * max(abs(w[-1]), 1.0)
         assert int(np.sum(top)) == sub.dim
         lifted = np.column_stack(
             [lift_to_channel(rc, ch.h0, b) for b in sub.basis])
         angles = subspace_angles(v[:, top], lifted)
         assert np.max(angles) <= 1e-7
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.01, 1.0, 10.0])
+    @pytest.mark.parametrize("M", [1, 2, 3, 64])
+    def test_matches_dense_top_eigenspace(self, code, M, sigma2):
+        cfg = SimulationConfig(code, M, ConstellationModel.iid_pm1(code.K),
+                               300, sigma2, 100 + M)
+        blocks, _, ch = simulate(cfg)
+        rc = realify(code, M)
+        cm = ConstellationModel.correlated(
+            random_spd(np.random.default_rng(M), code.K))
+        for cov in (sample_R(blocks), theoretical_R(rc, ch.h0, cm, sigma2)):
+            h, gap = estimate_channel(rc, cov)
+            w, v = np.linalg.eigh(rayleigh_dense(rc, cov))
+            top = v[:, w >= w[-1] * (1 - 1e-9)]
+            resid = np.linalg.norm(h - top @ (top.T @ h))
+            assert np.arcsin(min(1.0, resid)) <= 1e-8
+            ritz = h @ estimator._rayleigh_product(rc, cov, h[:, None])[:, 0]
+            assert abs(ritz - w[-1]) <= 1e-12 * w[-1]
+            assert abs(gap - (w[-1] - w[-2]) / w[-1]) <= 1e-5
+
+    def test_whole_space_block_takes_one_step(self, code, monkeypatch):
+        # 2MN <= K^2 + 4: the block is the whole space, the dense solve
+        calls = []
+        product = estimator._rayleigh_product
+
+        def counting(*args):
+            calls.append(args[-1].shape)
+            return product(*args)
+
+        monkeypatch.setattr(estimator, "_rayleigh_product", counting)
+        rc = realify(code, 1)
+        cfg = SimulationConfig(code, 1, ConstellationModel.iid_pm1(code.K),
+                               200, 1.0, 5)
+        estimate_channel(rc, sample_R(simulate(cfg)[0]))
+        assert calls == [(rc.channel_len, rc.channel_len)]
+
+    def test_memory_stays_below_the_dense_matrix(self, alamouti):
+        M = 128
+        rc = realify(alamouti, M)
+        cfg = SimulationConfig(alamouti, M, ConstellationModel.iid_pm1(4),
+                               500, 0.01, 3)
+        cov = sample_R(simulate(cfg)[0])
+        tracemalloc.start()
+        try:
+            estimate_channel(rc, cov)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rc.channel_len ** 2 * 8 / 2
+
+    def test_non_convergence_raises_a_cli_error(self, alamouti, monkeypatch):
+        # at M=64 and sigma2=10 the block needs more than one step
+        monkeypatch.setattr(estimator, "MAX_STEPS", 1)
+        rc = realify(alamouti, 64)
+        cfg = SimulationConfig(alamouti, 64, ConstellationModel.iid_pm1(4),
+                               500, 10.0, 1)
+        with pytest.raises(ConvergenceError, match="did not converge") as exc:
+            estimate_channel(rc, sample_R(simulate(cfg)[0]))
+        assert isinstance(exc.value, cli._ERRORS)
+
+    def test_rejects_non_finite_covariance(self, alamouti):
+        rc = realify(alamouti, 1)
+        cov = np.eye(rc.block_rows)
+        cov[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_channel(rc, cov)
 
     def test_noiseless_estimate_is_valid_ambiguity(self, code, rng):
         rc = realify(code, 2)
@@ -366,6 +437,26 @@ class TestRunEstimate:
         assert report.B_hat.shape == (4, 4)
         assert report.residual < 0.05
         assert report.subspace_angle < np.radians(5.0)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 64])
+    def test_angle_matches_qr_arcsine_oracle(self, code, M):
+        # principal_angles of one vector against the lifts agrees with a QR
+        # of the normalized lifts and an arcsine of the residual
+        cfg = SimulationConfig(code, M, ConstellationModel.iid_pm1(code.K),
+                               300, 0.01, 40 + M)
+        report = run_estimate(cfg)
+        _, _, channel = simulate(cfg)
+        rc = realify(code, M)
+        sub = compute_bspace(code, channel, seed=cfg.seed)
+        q = lifted_basis(rc, channel, sub)
+        want = vector_subspace_angle(report.h_hat, q)
+        assert abs(report.subspace_angle - want) <= 1e-14 + 1e-10 * want
+        h = np.random.default_rng(M).standard_normal(rc.channel_len)
+        lifts = [lift_to_channel(rc, channel.h0, b)[:, None]
+                 for b in sub.basis]
+        [angle] = principal_angles([h[:, None]], lifts)
+        want = vector_subspace_angle(h, q)
+        assert abs(angle - want) <= 1e-14 + 1e-10 * want
 
     def test_extracted_ambiguity_lies_in_channel_space(self, code, rng):
         rc = realify(code, 2)
