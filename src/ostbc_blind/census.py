@@ -31,17 +31,11 @@ class CensusError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    code: str
-    M: int
-    trial: int
-    dim: int
-    max_angle_to_bstar: float   # radians; max principal angle to the invariant space
-
-
-@dataclass(frozen=True)
 class CensusResult:
-    """Census over M = 1..M_max with the critical antenna count."""
+    """Census over M = 1..M_max with the critical antenna count.
+
+    The per-trial results are two read-only (M_max, trials) arrays, 16 bytes
+    per trial and M; row M - 1 holds the trials at M receive antennas."""
 
     code: str
     M_range: tuple
@@ -51,7 +45,8 @@ class CensusResult:
     d_mode: dict                # M -> the dimension every trial observed
     d_star: int
     M_star: object              # smallest matching M, or None if not found
-    records: tuple = field(repr=False)
+    dims: np.ndarray = field(repr=False)     # int: each trial's dimension
+    angles: np.ndarray = field(repr=False)   # max principal angle to B*, radians
 
 
 def _chunk_trials(code, M):
@@ -64,19 +59,22 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
     """Census M = 1..M_max and locate the critical antenna count.
 
     Trial t at M draws its channel from the stream
-    ``np.random.default_rng([seed, M, t])``, so the records do not depend
+    ``np.random.default_rng([seed, M, t])``, so the results do not depend
     on how the trials are grouped. The trials at one M run as stacked
     passes of :func:`_chunk_trials` trials each: one SVD for the kernels
     of the whole chunk and one for each principal-angle step, with the
     checks and bits of :func:`compute_bspace` and
-    :func:`principal_angles` for every trial.
+    :func:`principal_angles` for every trial. The passes fill the
+    result's ``dims`` and ``angles`` arrays in place.
 
     The critical count is the smallest M at which every trial's subspace
     equals the invariant space (same dimension and all principal angles
     within ``angle_tol``). Raises :class:`CensusError` when the trials
     at one M disagree on the dimension (the message gives the observed
-    histogram) or the dimension fails to be non-increasing and bounded
-    below by the invariant dimension.
+    histogram), or the dimension fails to be non-increasing, bounded below
+    by the invariant dimension and equal to it at every M >= N: whether
+    gamma(B) H = 0 depends on H only through its column space, almost
+    surely all of C^N once M >= N, so there B(H) is the invariant space.
     """
     if M_max < 1:
         raise ValueError(f"M_max must be >= 1, got {M_max}")
@@ -86,32 +84,26 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
     unit = unit_gammas(code)
     qstar = _orth_basis(bstar.basis)
     m_range = tuple(range(1, M_max + 1))
-    d_mode = {}
-    all_records = []
-    matches = {}
+    dims = np.empty((M_max, trials), dtype=int)
+    angles = np.empty((M_max, trials))
     for M in m_range:
-        dims = np.empty(trials, dtype=int)
-        angles = np.empty(trials)
         chunk = _chunk_trials(code, M)
         for start in range(0, trials, chunk):
             rngs = (np.random.default_rng([seed, M, t])
                     for t in range(start, min(start + chunk, trials)))
             H0 = np.stack([_gaussian_channel(code.N, M, rng) for rng in rngs])
             for idx, bases in _channel_bases(code, unit, H0, tol):
-                dims[start + idx] = bases.shape[1]
+                dims[M - 1, start + idx] = bases.shape[1]
                 for i, ang in _angles(bases, qstar):
-                    angles[start + idx[i]] = ang.max(axis=-1)
-        records = [TrialRecord(code.name, M, t, dim, angle) for t, (dim, angle)
-                   in enumerate(zip(dims.tolist(), angles.tolist()))]
-        all_records.extend(records)
-        hist = Counter(r.dim for r in records)
-        if len(hist) != 1:
+                    angles[M - 1, start + idx[i]] = ang.max(axis=-1)
+        if (dims[M - 1] != dims[M - 1, 0]).any():
+            hist = Counter(dims[M - 1].tolist())
             raise CensusError(
                 f"{code.name} M={M}: observed dimensions {dict(hist)} are not "
                 f"a single value; deterministic-dimension check failed")
-        d_mode[M] = records[0].dim
-        matches[M] = (d_mode[M] == bstar.dim
-                      and all(r.max_angle_to_bstar <= angle_tol for r in records))
+    dims.flags.writeable = angles.flags.writeable = False
+    d_mode = dict(zip(m_range, dims[:, 0].tolist()))
+    matches = (dims[:, 0] == bstar.dim) & (angles <= angle_tol).all(axis=1)
     prev = None
     for M in m_range:
         if d_mode[M] < bstar.dim:
@@ -127,15 +119,20 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
                 f"{code.name}: modal dimension stalled at {prev} above the "
                 f"invariant dimension {bstar.dim} between M={M - 1} and M={M}")
         prev = d_mode[M]
-    m_star = next((M for M in m_range if matches[M]), None)
+    for M in m_range[code.N - 1:]:
+        if d_mode[M] != bstar.dim:
+            raise CensusError(
+                f"{code.name} M={M}: dimension {d_mode[M]} is not the "
+                f"invariant dimension {bstar.dim} although M >= N={code.N}")
+    m_star = next((M for M in m_range if matches[M - 1]), None)
     if m_star is not None:
         for M in m_range[m_star - 1:]:
-            if not matches[M]:
+            if not matches[M - 1]:
                 raise CensusError(
                     f"{code.name} M={M}: subspace no longer matches the "
                     f"invariant space past M_star={m_star}")
     return CensusResult(code.name, m_range, trials, seed, tol, d_mode,
-                        bstar.dim, m_star, tuple(all_records))
+                        bstar.dim, m_star, dims, angles)
 
 
 def write_census_csv(result, path):
@@ -144,9 +141,10 @@ def write_census_csv(result, path):
         writer = csv.writer(fh)
         writer.writerow(["code", "M", "trial", "dim",
                          "max_principal_angle_to_bstar"])
-        for r in result.records:
-            writer.writerow([r.code, r.M, r.trial, r.dim,
-                             repr(r.max_angle_to_bstar)])
+        for M, dims, angles in zip(result.M_range, result.dims, result.angles):
+            rows = enumerate(zip(dims.tolist(), angles.tolist()))
+            writer.writerows([result.code, M, t, dim, repr(angle)]
+                             for t, (dim, angle) in rows)
 
 
 def census_summary(result):

@@ -180,6 +180,8 @@ def cmd_estimate(args):
 
 
 def cmd_kyfan(args):
+    if args.m < 1:
+        raise ValueError(f"--m must be a positive matrix size, got {args.m}")
     rng = np.random.default_rng([args.seed, 0])
     g = rng.standard_normal((args.m, args.m))
     spec = SpectrumSpec.from_matrix((g + g.T) / 2, args.q)

@@ -171,12 +171,15 @@ def sample_R(blocks):
     J = blocks.shape[0]
     if J < 1 or blocks.size == 0:
         raise ValueError("at least one received block is required")
-    R = blocks.T @ blocks / J
-    return (R + R.T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow leaves R non-finite, which estimate_channel rejects
+        R = blocks.T @ blocks / J
+        return (R + R.T) / 2
 
 
 class ConvergenceError(RuntimeError):
-    """The top eigenspace did not converge within :data:`MAX_STEPS` steps."""
+    """The top eigenspace did not converge within :data:`MAX_STEPS` steps,
+    or its Ritz values or residuals overflowed."""
 
 
 #: Step limit of the subspace iteration in :func:`estimate_channel`.
@@ -201,6 +204,13 @@ def _rayleigh_product(rc, R, V):
     X = (cs @ V.reshape(M, -1, p)).reshape(rc.block_rows, -1)
     Y = (R @ X).reshape(M, -1, p)
     return (cs.T @ Y).reshape(rc.channel_len, p)
+
+
+def _require_finite(values, R):
+    if not np.isfinite(values).all():
+        raise ConvergenceError(
+            f"subspace iteration overflowed: Ritz values or residuals are not "
+            f"finite for a covariance with entries up to {np.abs(R).max():.3e}")
 
 
 def _fix_vector_sign(v):
@@ -228,8 +238,10 @@ def estimate_channel(rc, R):
     roughly halves the steps where the second Ritz pair sits in the noise
     bulk. The iteration stops once |Q u_i - theta_i u_i| <= ``RITZ_TOL`` *
     theta_1 for the top two pairs, and raises :class:`ConvergenceError`
-    after ``MAX_STEPS`` steps. When p = 2MN the block is the whole space,
-    and the first step is the exact dense solve.
+    after ``MAX_STEPS`` steps, or at the first step whose projection or
+    residuals are not finite (a covariance near the float range overflows
+    them; no numpy warning is printed). When p = 2MN the block is the whole
+    space, and the first step is the exact dense solve.
 
     Returns ``(h_hat, gap)``: the top Ritz vector, its largest-magnitude
     entry made positive, and the relative gap (theta_1 - theta_2) /
@@ -247,20 +259,24 @@ def estimate_channel(rc, R):
     n = rc.channel_len
     p = min(n, rc.code.K ** 2 + 4)
     V = np.linalg.qr(np.random.default_rng(0).standard_normal((n, p)))[0]
-    for _ in range(MAX_STEPS):
-        QV = _rayleigh_product(rc, R, V)
-        H = V.T @ QV
-        theta, S = np.linalg.eigh((H + H.T) / 2)
-        top = S[:, :-3:-1]
-        u = V @ top
-        resid = np.linalg.norm(QV @ top - u * theta[:-3:-1], axis=0)
-        if resid.max() <= RITZ_TOL * abs(theta[-1]):
-            h = u[:, 0] / np.linalg.norm(u[:, 0])
-            gap = (theta[-1] - theta[-2]) / max(abs(theta[-1]), 1e-300)
-            return _fix_vector_sign(h), float(gap)
-        QV -= (theta[0] / 2) * V
-        V = np.linalg.qr(QV)[0]
-        del QV   # only V is held across the next product, the peak
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_STEPS):
+            QV = _rayleigh_product(rc, R, V)
+            H = V.T @ QV
+            H = (H + H.T) / 2
+            _require_finite(H, R)
+            theta, S = np.linalg.eigh(H)
+            top = S[:, :-3:-1]
+            u = V @ top
+            resid = np.linalg.norm(QV @ top - u * theta[:-3:-1], axis=0)
+            _require_finite(resid, R)
+            if resid.max() <= RITZ_TOL * abs(theta[-1]):
+                h = u[:, 0] / np.linalg.norm(u[:, 0])
+                gap = (theta[-1] - theta[-2]) / max(abs(theta[-1]), 1e-300)
+                return _fix_vector_sign(h), float(gap)
+            QV -= (theta[0] / 2) * V
+            V = np.linalg.qr(QV)[0]
+            del QV   # only V is held across the next product, the peak
     raise ConvergenceError(
         f"top eigenspace did not converge in {MAX_STEPS} subspace-iteration "
         f"steps: Ritz residual {resid.max():.3e} above "

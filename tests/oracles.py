@@ -15,7 +15,6 @@ import numpy as np
 from ostbc_blind import (compute_bspace, compute_bstar, draw_channel,
                          lift_to_channel, overline, principal_angles,
                          random_stiefel)
-from ostbc_blind.census import TrialRecord
 
 
 def kron(a, b):
@@ -120,17 +119,20 @@ def unit_gammas_loop(code):
 
 
 def census_records_per_trial(code, M_max, trials, seed, tol=1e-9):
-    """Census records by compute_bspace and principal_angles, one trial
-    at a time, each channel from its own (seed, M, trial) stream."""
+    """Census ``(dims, angles)``, each (M_max, trials), by compute_bspace
+    and principal_angles, one trial at a time, each channel from its own
+    (seed, M, trial) stream."""
     bstar = compute_bstar(code, tol)
-    records = []
+    dims = np.empty((M_max, trials), dtype=int)
+    angles = np.empty((M_max, trials))
     for M in range(1, M_max + 1):
         for trial in range(trials):
             rng = np.random.default_rng([seed, M, trial])
             sub = compute_bspace(code, draw_channel(code.N, M, rng), tol)
-            angle = float(np.max(principal_angles(sub.basis, bstar.basis)))
-            records.append(TrialRecord(code.name, M, trial, sub.dim, angle))
-    return records
+            dims[M - 1, trial] = sub.dim
+            angles[M - 1, trial] = np.max(principal_angles(sub.basis,
+                                                           bstar.basis))
+    return dims, angles
 
 
 def scipy_principal_angles(basis_a, basis_b):

@@ -104,15 +104,13 @@ def test_criterion_05_deterministic_dimension():
             d_star = result.d_star
             prev = None
             for M in result.M_range:
-                dims = {r.dim for r in result.records if r.M == M}
+                dims = set(result.dims[M - 1].tolist())
                 assert dims == {result.d_mode[M]}  # single observed value
                 if prev is not None:
                     assert result.d_mode[M] <= prev
                 prev = result.d_mode[M]
-            for record in result.records:
-                if record.M >= code.N:
-                    assert record.dim == d_star
-                    assert record.max_angle_to_bstar <= 1e-8
+            assert (result.dims[code.N - 1:] == d_star).all()
+            assert (result.angles[code.N - 1:] <= 1e-8).all()
 
 
 def test_criterion_06_covariance_eigenstructure():

@@ -38,11 +38,9 @@ class TestExactOracleAgreement:
 
 
 def histograms(result):
-    """M -> {dim: count} over the per-trial records of a census."""
-    hist = {M: Counter() for M in result.M_range}
-    for r in result.records:
-        hist[r.M][r.dim] += 1
-    return {M: dict(h) for M, h in hist.items()}
+    """M -> {dim: count} over the per-trial dimensions of a census."""
+    return {M: dict(Counter(result.dims[M - 1].tolist()))
+            for M in result.M_range}
 
 
 class TestDimensionCensus:
@@ -84,11 +82,31 @@ class TestDimensionCensus:
                            match=r"M=1: observed dimensions \{4: 4, 5: 2\}"):
             find_mstar(alamouti, 2, 6, seed=3)
 
+    def test_dimension_above_invariant_at_m_at_least_n_raises(self,
+                                                              monkeypatch):
+        # scalar has N = 1, so its channel spans C^N from M = 1 on: a basis
+        # grown there breaks d(M) = dim B* although d(2) is back at dim B*.
+        original = census._channel_bases
 
-def as_rows(records):
-    """Records with each angle as its repr, so equality is bitwise."""
-    return [(r.code, r.M, r.trial, r.dim, repr(r.max_angle_to_bstar))
-            for r in records]
+        def larger_at_one_antenna(code, unit, H0, tol):
+            for idx, bases in original(code, unit, H0, tol):
+                if H0.shape[-1] == 1:
+                    bases = np.concatenate([bases, bases[:, -1:]], axis=1)
+                yield idx, bases
+
+        monkeypatch.setattr(census, "_channel_bases", larger_at_one_antenna)
+        with pytest.raises(CensusError,
+                           match=r"^scalar M=1: dimension 2 is not the "
+                                 r"invariant dimension 1 although M >= N=1$"):
+            find_mstar(builtin_code("scalar"), 2, 5, seed=0)
+
+
+def as_rows(dims, angles):
+    """(M, trial, dim, repr(angle)) per trial, so equality is bitwise."""
+    return [(M, trial, dim, repr(angle))
+            for M, (row_d, row_a) in enumerate(zip(dims.tolist(),
+                                                   angles.tolist()), start=1)
+            for trial, (dim, angle) in enumerate(zip(row_d, row_a))]
 
 
 def kernel_matrix_bytes(code, M):
@@ -96,13 +114,13 @@ def kernel_matrix_bytes(code, M):
 
 
 class TestBatchedCensus:
-    """find_mstar stacks trials; records equal one-trial-at-a-time runs."""
+    """find_mstar stacks trials; results equal one-trial-at-a-time runs."""
 
     @pytest.mark.parametrize("seed", [5, 123])
     def test_matches_per_trial_oracle(self, code, seed):
         result = find_mstar(code, code.N + 1, 12, seed)
         oracle = census_records_per_trial(code, code.N + 1, 12, seed)
-        assert as_rows(result.records) == as_rows(oracle)
+        assert as_rows(result.dims, result.angles) == as_rows(*oracle)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundaries(self, code, monkeypatch, offset):
@@ -113,7 +131,7 @@ class TestBatchedCensus:
         trials = 4 + offset
         result = find_mstar(code, 3, trials, seed=17)
         oracle = census_records_per_trial(code, 3, trials, seed=17)
-        assert as_rows(result.records) == as_rows(oracle)
+        assert as_rows(result.dims, result.angles) == as_rows(*oracle)
 
     def test_stacked_svd_count(self, alamouti, monkeypatch):
         calls = []
@@ -146,6 +164,22 @@ class TestBatchedCensus:
         peak(chunk)  # warm up lazy imports and caches
         assert peak(5 * chunk) < 2 * peak(chunk)
 
+    def test_result_retains_two_numbers_per_trial(self):
+        scalar = builtin_code("scalar")
+
+        def retained(trials):
+            tracemalloc.start()
+            try:
+                result = find_mstar(scalar, 1, trials, seed=1)
+                assert result.dims.shape == (1, trials)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        retained(100)  # warm up lazy imports and caches
+        # the result holds one int and one float per trial: 16 B
+        assert (retained(80000) - retained(20000)) / 60000 <= 24
+
 
 class TestFindMstar:
     def test_expected_tables(self, code):
@@ -161,13 +195,20 @@ class TestFindMstar:
 
     def test_records_cover_all_trials(self, alamouti):
         result = find_mstar(alamouti, 2, 10, seed=5)
-        assert len(result.records) == 20
-        assert all(r.max_angle_to_bstar <= 1e-8 for r in result.records)
+        assert result.dims.shape == result.angles.shape == (2, 10)
+        assert (result.dims == 4).all()
+        assert (result.angles <= 1e-8).all()
 
     def test_deterministic(self, alamouti):
         a = find_mstar(alamouti, 2, 5, seed=6)
         b = find_mstar(alamouti, 2, 5, seed=6)
-        assert a.records == b.records
+        assert as_rows(a.dims, a.angles) == as_rows(b.dims, b.angles)
+
+    def test_result_arrays_are_read_only(self, alamouti):
+        result = find_mstar(alamouti, 2, 3, seed=5)
+        for array in (result.dims, result.angles):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
 
     def test_rejects_bad_args(self, alamouti):
         with pytest.raises(ValueError):
@@ -199,6 +240,24 @@ class TestOutputs:
                            "max_principal_angle_to_bstar"]
         assert len(rows) == 1 + 10
         assert rows[1][:4] == ["alamouti", "1", "0", "4"]
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_csv_bytes_match_per_trial_oracle(self, code, tmp_path,
+                                              monkeypatch, chunked):
+        if chunked:
+            # two trials per pass at M=1 and one at every larger M
+            monkeypatch.setattr(census, "CHUNK_BYTES",
+                                2 * kernel_matrix_bytes(code, 1))
+            assert census._chunk_trials(code, 1) == 2
+        M_max, trials = code.N + 1, 5
+        path = tmp_path / "census.csv"
+        write_census_csv(find_mstar(code, M_max, trials, seed=21), path)
+        dims, angles = census_records_per_trial(code, M_max, trials, seed=21)
+        lines = ["code,M,trial,dim,max_principal_angle_to_bstar"]
+        lines += [f"{code.name},{M},{trial},{dim},{angle_repr}"
+                  for M, trial, dim, angle_repr in as_rows(dims, angles)]
+        assert path.read_bytes() == "".join(
+            line + "\r\n" for line in lines).encode()
 
     def test_summary_json(self, alamouti):
         result = find_mstar(alamouti, 3, 5, seed=8)

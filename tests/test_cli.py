@@ -387,6 +387,36 @@ class TestHostileInput:
             ["estimate", "--code", "alamouti", "--rx", "64", "--blocks", "500",
              "--sigma2", "10", "--seed", "1"], capsys, "did not converge")
 
+    @pytest.mark.parametrize("sigma2, needle", [
+        ("1e308", "covariance has non-finite entries"),  # R overflows
+        ("1e300", "subspace iteration overflowed"),      # R finite, norms not
+    ])
+    def test_overflowing_covariance(self, sigma2, needle, capsys):
+        self.assert_one_error(
+            ["estimate", "--code", "alamouti", "--rx", "2", "--blocks", "10",
+             "--sigma2", sigma2, "--seed", "1"], capsys, needle)
+
+    def test_overflow_stops_at_the_first_step(self, monkeypatch, capsys):
+        calls = []
+        product = estimator._rayleigh_product
+
+        def counting_product(*args):
+            calls.append(1)
+            return product(*args)
+
+        monkeypatch.setattr(estimator, "_rayleigh_product", counting_product)
+        self.assert_one_error(
+            ["estimate", "--code", "alamouti", "--rx", "3", "--blocks", "10",
+             "--sigma2", "1e300", "--seed", "1"], capsys,
+            "subspace iteration overflowed")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_kyfan_without_matrix(self, m, capsys):
+        self.assert_one_error(["kyfan", "--m", m, "--q", "1", "--seed", "1"],
+                              capsys, f"--m must be a positive matrix size, "
+                                      f"got {m}")
+
     def test_non_finite_code_entry(self, tmp_path, capsys):
         payload = code_to_dict(builtin_code("alamouti"))
         payload["C"][1][0][1] = [float("nan"), 0.0]
