@@ -52,7 +52,10 @@ class CensusResult:
 def _chunk_trials(code, M):
     """Trials per stacked pass at M receive antennas, from CHUNK_BYTES."""
     matrix_bytes = 2 * code.L * code.K * M * code.K ** 2 * 8
-    return max(1, CHUNK_BYTES // matrix_bytes)
+    # Each trial also makes Python objects (its generator and channel array,
+    # about 520 B) that the byte budget does not count; for tiny codes they
+    # would dominate a pass, so a pass takes at most 1024 trials.
+    return max(1, min(CHUNK_BYTES // matrix_bytes, 1024))
 
 
 def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
@@ -65,7 +68,9 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
     of the whole chunk and one for each principal-angle step, with the
     checks and bits of :func:`compute_bspace` and
     :func:`principal_angles` for every trial. The passes fill the
-    result's ``dims`` and ``angles`` arrays in place.
+    result's ``dims`` and ``angles`` arrays in place. A pass whose trials
+    disagree on the dimension builds no bases and computes no angles:
+    the check at the end of that M fails the run.
 
     The critical count is the smallest M at which every trial's subspace
     equals the invariant space (same dimension and all principal angles
@@ -89,13 +94,13 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
     for M in m_range:
         chunk = _chunk_trials(code, M)
         for start in range(0, trials, chunk):
+            stop = min(start + chunk, trials)
             rngs = (np.random.default_rng([seed, M, t])
-                    for t in range(start, min(start + chunk, trials)))
+                    for t in range(start, stop))
             H0 = np.stack([_gaussian_channel(code.N, M, rng) for rng in rngs])
-            for idx, bases in _channel_bases(code, unit, H0, tol):
-                dims[M - 1, start + idx] = bases.shape[1]
-                for i, ang in _angles(bases, qstar):
-                    angles[M - 1, start + idx[i]] = ang.max(axis=-1)
+            dims[M - 1, start:stop], bases = _channel_bases(code, unit, H0, tol)
+            if bases is not None:
+                angles[M - 1, start:stop] = _angles(bases, qstar).max(axis=-1)
         if (dims[M - 1] != dims[M - 1, 0]).any():
             hist = Counter(dims[M - 1].tolist())
             raise CensusError(

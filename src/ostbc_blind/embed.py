@@ -57,20 +57,15 @@ def _check_tol(tol, name="tol"):
         raise ValueError(f"{name} must be finite and in (0, 1), got {tol}")
 
 
-def _by_value(keys):
-    """``[(value, indices)]`` for each distinct value of an integer array."""
-    return [(v, np.flatnonzero(keys == v)) for v in sorted(set(keys.tolist()))]
-
-
 def _kernels(m, rel_tol):
     """Kernel bases of a stack of real matrices, from one stacked SVD.
 
-    ``m`` has shape (T, r, n). Each matrix's rank comes from its own
-    singular values, so the bases can differ in width: they come back
-    grouped by width as ``[(indices, bases)]``, ``bases`` of shape
-    (G, n, k) with C-ordered slices, together with the (T, min(r, n))
-    singular values. ``np.linalg.svd`` factors each matrix of a stack on
-    its own, so every slice has the bits of a one-matrix call.
+    ``m`` has shape (T, r, n). Each matrix's kernel dimension comes from
+    its own singular values. Returns ``(dims, bases, s)``: the (T,) kernel
+    dimensions, the (T, n, k) stack of kernel bases with C-ordered slices
+    when all T dimensions equal k, or ``None`` when they differ, and the
+    (T, min(r, n)) singular values. ``np.linalg.svd`` factors each matrix
+    of a stack on its own, so every slice has the bits of a one-matrix call.
     """
     _check_tol(rel_tol, "rel_tol")
     r, n = m.shape[-2:]
@@ -78,9 +73,9 @@ def _kernels(m, rel_tol):
     zero = ~s.any(axis=-1)
     rank = np.where(zero, 0, np.sum(s >= rel_tol * s[:, :1], axis=-1))
     vh[zero] = np.eye(n)
-    groups = [(idx, np.ascontiguousarray(vh[idx, k:].swapaxes(-1, -2)))
-              for k, idx in _by_value(rank)]
-    return groups, s
+    if (rank != rank[0]).any():
+        return n - rank, None, s
+    return n - rank, np.ascontiguousarray(vh[:, rank[0]:].swapaxes(-1, -2)), s
 
 
 def kernel(m, rel_tol=1e-9):
@@ -102,5 +97,5 @@ def kernel(m, rel_tol=1e-9):
         the kernel, and the singular values of ``m`` in descending order.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    [(_, basis)], s = _kernels(m[None], rel_tol)
+    _, basis, s = _kernels(m[None], rel_tol)
     return basis[0], s[0]

@@ -178,8 +178,7 @@ def sample_R(blocks):
 
 
 class ConvergenceError(RuntimeError):
-    """The top eigenspace did not converge within :data:`MAX_STEPS` steps,
-    or its Ritz values or residuals overflowed."""
+    """The top eigenspace did not converge within :data:`MAX_STEPS` steps."""
 
 
 #: Step limit of the subspace iteration in :func:`estimate_channel`.
@@ -189,28 +188,23 @@ MAX_STEPS = 5000
 RITZ_TOL = 1e-10
 
 
-def _rayleigh_product(rc, R, V):
-    """Q V with Q = sum_k Phi_k^T R Phi_k, for a (2MN, p) block V.
+def _rayleigh_product(rc, R, V, exp=0):
+    """2^exp Q V with Q = sum_k Phi_k^T R Phi_k, for a (2MN, p) block V.
 
     The K blocks overline(C_k) are stacked as one (2L*K, 2N) array with
     rows ordered (row of C_k, k). One product per receive antenna then
     gives every Phi_k V at once, as the (2ML, K*p) array whose column
-    block k is Phi_k V; one GEMM applies R to all of them; one product per
-    antenna sums the K terms Phi_k^T (R Phi_k V). No 2MN x 2MN array is
-    formed, and the GEMM costs (2ML)^2 K p.
+    block k is Phi_k V; it is scaled by 2^exp, which is exact, and one
+    GEMM applies R to all of them; one product per antenna sums the K
+    terms Phi_k^T (R Phi_k V). No 2MN x 2MN array is formed, and the GEMM
+    costs (2ML)^2 K p.
     """
     M, p = rc.M, V.shape[1]
     cs = rc.blocks.transpose(1, 0, 2).reshape(-1, 2 * rc.code.N)
     X = (cs @ V.reshape(M, -1, p)).reshape(rc.block_rows, -1)
+    np.ldexp(X, exp, out=X)
     Y = (R @ X).reshape(M, -1, p)
     return (cs.T @ Y).reshape(rc.channel_len, p)
-
-
-def _require_finite(values, R):
-    if not np.isfinite(values).all():
-        raise ConvergenceError(
-            f"subspace iteration overflowed: Ritz values or residuals are not "
-            f"finite for a covariance with entries up to {np.abs(R).max():.3e}")
 
 
 def _fix_vector_sign(v):
@@ -238,10 +232,16 @@ def estimate_channel(rc, R):
     roughly halves the steps where the second Ritz pair sits in the noise
     bulk. The iteration stops once |Q u_i - theta_i u_i| <= ``RITZ_TOL`` *
     theta_1 for the top two pairs, and raises :class:`ConvergenceError`
-    after ``MAX_STEPS`` steps, or at the first step whose projection or
-    residuals are not finite (a covariance near the float range overflows
-    them; no numpy warning is printed). When p = 2MN the block is the whole
-    space, and the first step is the exact dense solve.
+    after ``MAX_STEPS`` steps. When p = 2MN the block is the whole space,
+    and the first step is the exact dense solve.
+
+    Every product is scaled by 2^-e, with e the binary exponent of the
+    largest entry of |R|, and ``R`` itself is not copied; the scale is
+    capped at 2^1000, so that a covariance of subnormal entries does not
+    overflow the block. The iteration then works on numbers near 1 and
+    overflows for no finite R. Powers of two scale exactly, so R and
+    2^j R give the same bits as long as the scaled products stay normal
+    numbers.
 
     Returns ``(h_hat, gap)``: the top Ritz vector, its largest-magnitude
     entry made positive, and the relative gap (theta_1 - theta_2) /
@@ -256,27 +256,25 @@ def estimate_channel(rc, R):
     R = np.asarray(R, dtype=float)
     if not np.isfinite(R).all():
         raise ValueError("covariance has non-finite entries")
+    exp = min(-np.frexp(max(R.max(), -R.min()))[1], 1000)
     n = rc.channel_len
     p = min(n, rc.code.K ** 2 + 4)
     V = np.linalg.qr(np.random.default_rng(0).standard_normal((n, p)))[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(MAX_STEPS):
-            QV = _rayleigh_product(rc, R, V)
-            H = V.T @ QV
-            H = (H + H.T) / 2
-            _require_finite(H, R)
-            theta, S = np.linalg.eigh(H)
-            top = S[:, :-3:-1]
-            u = V @ top
-            resid = np.linalg.norm(QV @ top - u * theta[:-3:-1], axis=0)
-            _require_finite(resid, R)
-            if resid.max() <= RITZ_TOL * abs(theta[-1]):
-                h = u[:, 0] / np.linalg.norm(u[:, 0])
-                gap = (theta[-1] - theta[-2]) / max(abs(theta[-1]), 1e-300)
-                return _fix_vector_sign(h), float(gap)
-            QV -= (theta[0] / 2) * V
-            V = np.linalg.qr(QV)[0]
-            del QV   # only V is held across the next product, the peak
+    for _ in range(MAX_STEPS):
+        QV = _rayleigh_product(rc, R, V, exp)
+        H = V.T @ QV
+        H = (H + H.T) / 2
+        theta, S = np.linalg.eigh(H)
+        top = S[:, :-3:-1]
+        u = V @ top
+        resid = np.linalg.norm(QV @ top - u * theta[:-3:-1], axis=0)
+        if resid.max() <= RITZ_TOL * abs(theta[-1]):
+            h = u[:, 0] / np.linalg.norm(u[:, 0])
+            gap = (theta[-1] - theta[-2]) / max(abs(theta[-1]), 1e-300)
+            return _fix_vector_sign(h), float(gap)
+        QV -= (theta[0] / 2) * V
+        V = np.linalg.qr(QV)[0]
+        del QV   # only V is held across the next product, the peak
     raise ConvergenceError(
         f"top eigenspace did not converge in {MAX_STEPS} subspace-iteration "
         f"steps: Ritz residual {resid.max():.3e} above "

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import _by_value, _check_tol, _kernels, vec
+from .embed import _check_tol, _kernels, vec
 from .gamma import _channel_kernel_matrices, gamma_operator, unit_gammas
 from .ostbc import _apply_phi
 
@@ -61,12 +61,13 @@ class AmbiguitySubspace:
         return self.dim == 1
 
 
-def _fix_sign(b, rel=1e-8):
+def _fix_sign(b):
     """Negate, in place, each K x K matrix of ``b`` (shape (..., K, K))
-    whose first significant entry in a row-major scan is negative."""
+    whose first significant entry in a row-major scan is negative: the
+    first entry above 1e-8 times the matrix's largest magnitude."""
     flat = b.reshape(*b.shape[:-2], b.shape[-2] * b.shape[-1])
     mag = np.abs(flat)
-    first = np.argmax(mag > rel * mag.max(axis=-1, keepdims=True), axis=-1)
+    first = np.argmax(mag > 1e-8 * mag.max(axis=-1, keepdims=True), axis=-1)
     negative = np.take_along_axis(flat, first[..., None], axis=-1) < 0
     np.negative(b, out=b, where=negative[..., None])
     return b
@@ -75,14 +76,14 @@ def _fix_sign(b, rel=1e-8):
 def _identity_first(span, K, resid_tol, error):
     """Identity-seeded Frobenius Gram-Schmidt of the columns of each span.
 
-    ``span`` is a stack (G, K^2, dim); returns the (G, dim, K^2) stack of
+    ``span`` is a stack (T, K^2, dim); returns the (T, dim, K^2) stack of
     orthonormal rows, vec(I)/sqrt(K) first. Every inner product is a
     row-times-column matmul, which numpy hands to the same BLAS dot as
     ``u @ w`` on two vectors, so a stack gives the bits of its slices
     taken one at a time. A slice stops taking columns once it holds
     ``dim`` rows.
     """
-    G, n, dim = span.shape
+    T, n, dim = span.shape
     u0 = vec(np.eye(K)) / np.sqrt(K)
     resid = np.linalg.norm(u0 - (span @ (u0 @ span)[..., None])[..., 0],
                            axis=-1)
@@ -90,10 +91,10 @@ def _identity_first(span, K, resid_tol, error):
     if bad.size:
         raise error(f"identity not in the subspace span "
                     f"(residual {resid[bad[0]]:.3e})")
-    taken = np.zeros((G, dim, n))
+    taken = np.zeros((T, dim, n))
     taken[:, 0] = u0
-    count = np.ones(G, dtype=int)
-    rows = np.arange(G)
+    count = np.ones(T, dtype=int)
+    rows = np.arange(T)
     for j in range(dim):
         if (count == dim).all():
             break
@@ -115,32 +116,31 @@ def _identity_first(span, K, resid_tol, error):
 def _kernel_bases(ops, K, tol):
     """Ambiguity-space bases of a stack of operators acting on vec(B).
 
-    ``ops`` has shape (T, r, K^2). One stacked SVD gives every kernel;
-    each operator's kernel dimension comes from its own singular values,
-    so the bases come back grouped by dimension as ``[(indices, bases)]``,
-    ``bases`` a read-only (G, dim, K, K) stack of Frobenius-orthonormal
-    matrices, the normalized identity first and the others sign-fixed.
-    Every element must leave a residual of at most tol * max(sigma_max, 1)
-    under its own operator; the first operator that breaks a check raises
-    :class:`SubspaceError`.
+    ``ops`` has shape (T, r, K^2). One stacked SVD gives every kernel, and
+    each operator's kernel dimension comes from its own singular values.
+    Returns ``(dims, mats)``: the (T,) dimensions and the read-only
+    (T, dim, K, K) stack of Frobenius-orthonormal bases, the normalized
+    identity first and the others sign-fixed, or ``None`` when the
+    dimensions differ. Every element must leave a residual of at most
+    tol * max(sigma_max, 1) under its own operator; the first operator
+    that breaks a check raises :class:`SubspaceError`.
     """
-    groups, s = _kernels(ops, tol)
+    dims, span, s = _kernels(ops, tol)
+    if span is None:
+        return dims, None
+    taken = _identity_first(span, K, 1e-10, SubspaceError)
+    mats = taken.reshape(len(dims), -1, K, K).swapaxes(-1, -2)
+    _fix_sign(mats[:, 1:])
     scale = tol * np.maximum(s[:, 0], 1.0)
-    bases = []
-    for idx, span in groups:
-        taken = _identity_first(span, K, 1e-10, SubspaceError)
-        mats = taken.reshape(len(idx), -1, K, K).swapaxes(-1, -2)
-        _fix_sign(mats[:, 1:])
-        residual = np.linalg.norm(ops[idx] @ taken.swapaxes(-1, -2), axis=-2)
-        over = np.argwhere(residual > scale[idx, None])
-        if over.size:
-            g, e = over[0]
-            raise SubspaceError(
-                f"basis element leaves kernel residual {residual[g, e]:.3e} "
-                f"above tol*scale {scale[idx[g]]:.3e}")
-        taken.setflags(write=False)
-        bases.append((idx, mats))
-    return bases
+    residual = np.linalg.norm(ops @ taken.swapaxes(-1, -2), axis=-2)
+    over = np.argwhere(residual > scale[:, None])
+    if over.size:
+        t, e = over[0]
+        raise SubspaceError(
+            f"basis element leaves kernel residual {residual[t, e]:.3e} "
+            f"above tol*scale {scale[t]:.3e}")
+    mats.flags.writeable = False
+    return dims, mats
 
 
 def _channel_bases(code, unit, H0, tol):
@@ -157,8 +157,8 @@ def _channel_bases(code, unit, H0, tol):
     return _kernel_bases(_channel_kernel_matrices(unit, H0), code.K, tol)
 
 
-def _subspace(groups, code, tol, kind, M=None, seed=None):
-    [(_, mats)] = groups
+def _subspace(bases, code, tol, kind, M=None, seed=None):
+    _, mats = bases
     return AmbiguitySubspace(code, kind, M, mats.shape[1], tuple(mats[0]), tol,
                              seed=seed)
 
@@ -186,8 +186,8 @@ def compute_bspace(code, channel, tol=1e-9, seed=None):
     the same checks and bits for every channel as here.
     """
     _check_tol(tol)
-    groups = _channel_bases(code, unit_gammas(code), channel.H0[None], tol)
-    return _subspace(groups, code, tol, "channel", M=channel.M, seed=seed)
+    bases = _channel_bases(code, unit_gammas(code), channel.H0[None], tol)
+    return _subspace(bases, code, tol, "channel", M=channel.M, seed=seed)
 
 
 def lift_to_channel(rc, h0, B):
@@ -287,17 +287,16 @@ def _columns(bases):
 def _orth(a):
     """Orthonormal bases of the column spaces of a stack (T, n, k).
 
-    One stacked thin SVD; each slice's rank comes from its own singular
-    values, and the bases come back grouped by rank as
-    ``[(indices, q)]``, q of shape (G, n, rank).
+    One stacked thin SVD, cut at the rank of the first slice; every stack
+    here has one rank, either T = 1 or orthonormal bases of one dimension.
+    Returns the (T, n, rank) stack.
     """
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cut = np.finfo(float).eps * max(a.shape[-2:]) * s[:, :1]
+    rank = np.count_nonzero(s[0] > np.finfo(float).eps * max(a.shape[-2:])
+                            * s[0, 0])
     # Each slice in Fortran order, as LAPACK returns it: that fixes the
     # BLAS kernels of the products below and so the last bits of the angles.
-    return [(idx, np.ascontiguousarray(u[idx, :, :k].swapaxes(-1, -2))
-             .swapaxes(-1, -2))
-            for k, idx in _by_value(np.sum(s > cut, axis=-1))]
+    return np.ascontiguousarray(u[..., :rank].swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _angles(bases, qb):
@@ -305,30 +304,24 @@ def _angles(bases, qb):
 
     ``bases`` is a stack (T, dim, p, q) of matrix bases and ``qb`` an
     orthonormal (p*q, kb) basis from :func:`_orth_basis`. One stacked SVD
-    per step for the whole stack (more only when ranks differ); returns
-    ``[(indices, angles)]`` grouped by the rank of bases[t], each row as
-    :func:`principal_angles` orders it.
+    per step for the whole stack; returns the (T, min(dim, kb)) angles,
+    each row as :func:`principal_angles` orders it.
     """
-    groups = []
-    for idx, qa in _orth(_columns(bases)):
-        cross = qa.swapaxes(-1, -2) @ qb
-        sigma = np.linalg.svd(cross, compute_uv=False)
-        if qa.shape[-1] >= qb.shape[-1]:
-            resid = qb - qa @ cross
-        else:
-            resid = qa - qb @ cross.swapaxes(-1, -2)
-        mu = np.arcsin(np.clip(np.linalg.svd(resid, compute_uv=False),
-                               -1.0, 1.0))
-        groups.append((idx, np.where(
-            sigma ** 2 >= 0.5, mu,
-            np.arccos(np.clip(sigma[..., ::-1], -1.0, 1.0)))))
-    return groups
+    qa = _orth(_columns(bases))
+    cross = qa.swapaxes(-1, -2) @ qb
+    sigma = np.linalg.svd(cross, compute_uv=False)
+    if qa.shape[-1] >= qb.shape[-1]:
+        resid = qb - qa @ cross
+    else:
+        resid = qa - qb @ cross.swapaxes(-1, -2)
+    mu = np.arcsin(np.clip(np.linalg.svd(resid, compute_uv=False), -1.0, 1.0))
+    return np.where(sigma ** 2 >= 0.5, mu,
+                    np.arccos(np.clip(sigma[..., ::-1], -1.0, 1.0)))
 
 
 def _orth_basis(basis):
     """Orthonormal (n, k) basis of the span of one sequence of matrices."""
-    [(_, q)] = _orth(_columns([basis]))
-    return q[0]
+    return _orth(_columns([basis]))[0]
 
 
 def principal_angles(basis_a, basis_b):
@@ -341,8 +334,7 @@ def principal_angles(basis_a, basis_b):
     the stacked angles that the census computes for a whole chunk of
     trials against the invariant space, with the same bits per pair.
     """
-    [(_, angles)] = _angles([basis_a], _orth_basis(basis_b))
-    return angles[0]
+    return _angles([basis_a], _orth_basis(basis_b))[0]
 
 
 def spans_match(basis_a, basis_b, angle_tol=1e-8):

@@ -70,17 +70,39 @@ class TestDimensionCensus:
         seen = []
 
         def every_third_larger(code, unit, H0, tol):
-            [(idx, bases)] = original(code, unit, H0, tol)
+            dims, bases = original(code, unit, H0, tol)
+            idx = np.arange(len(dims))
             larger = (len(seen) + idx + 1) % 3 == 0
             seen.extend(idx)
-            grown = np.concatenate([bases, bases[:, -1:]], axis=1)
-            return [(idx[~larger], bases[~larger]),
-                    (idx[larger], grown[larger])]
+            return dims + larger, None if larger.any() else bases
 
         monkeypatch.setattr(census, "_channel_bases", every_third_larger)
         with pytest.raises(CensusError,
                            match=r"M=1: observed dimensions \{4: 4, 5: 2\}"):
             find_mstar(alamouti, 2, 6, seed=3)
+
+    def test_disagreement_across_chunks_gives_the_whole_histogram(
+            self, alamouti, monkeypatch):
+        # two trials per pass; the second of three passes at M=1 reports
+        # one dimension more, in agreement within its own pass
+        monkeypatch.setattr(census, "CHUNK_BYTES",
+                            2 * kernel_matrix_bytes(alamouti, 1))
+        original = census._channel_bases
+        passes = []
+
+        def second_pass_larger(code, unit, H0, tol):
+            dims, bases = original(code, unit, H0, tol)
+            passes.append(len(dims))
+            if len(passes) == 2:
+                grown = np.concatenate([bases, bases[:, -1:]], axis=1)
+                return dims + 1, grown
+            return dims, bases
+
+        monkeypatch.setattr(census, "_channel_bases", second_pass_larger)
+        with pytest.raises(CensusError,
+                           match=r"M=1: observed dimensions \{4: 4, 5: 2\}"):
+            find_mstar(alamouti, 1, 6, seed=3)
+        assert passes == [2, 2, 2]
 
     def test_dimension_above_invariant_at_m_at_least_n_raises(self,
                                                               monkeypatch):
@@ -89,10 +111,11 @@ class TestDimensionCensus:
         original = census._channel_bases
 
         def larger_at_one_antenna(code, unit, H0, tol):
-            for idx, bases in original(code, unit, H0, tol):
-                if H0.shape[-1] == 1:
-                    bases = np.concatenate([bases, bases[:, -1:]], axis=1)
-                yield idx, bases
+            dims, bases = original(code, unit, H0, tol)
+            if H0.shape[-1] == 1:
+                dims = dims + 1
+                bases = np.concatenate([bases, bases[:, -1:]], axis=1)
+            return dims, bases
 
         monkeypatch.setattr(census, "_channel_bases", larger_at_one_antenna)
         with pytest.raises(CensusError,
@@ -167,18 +190,21 @@ class TestBatchedCensus:
     def test_result_retains_two_numbers_per_trial(self):
         scalar = builtin_code("scalar")
 
-        def retained(trials):
+        def retained_and_peak(trials):
             tracemalloc.start()
             try:
                 result = find_mstar(scalar, 1, trials, seed=1)
                 assert result.dims.shape == (1, trials)
-                return tracemalloc.get_traced_memory()[0]
+                return np.array(tracemalloc.get_traced_memory())
             finally:
                 tracemalloc.stop()
 
-        retained(100)  # warm up lazy imports and caches
-        # the result holds one int and one float per trial: 16 B
-        assert (retained(80000) - retained(20000)) / 60000 <= 24
+        retained_and_peak(100)  # warm up lazy imports and caches
+        # the result holds one int and one float per trial: 16 B; a pass
+        # holds at most 1024 trials, so the peak grows by no more
+        per_trial = (retained_and_peak(80000)
+                     - retained_and_peak(20000)) / 60000
+        assert (per_trial <= 24).all(), per_trial
 
 
 class TestFindMstar:

@@ -3,6 +3,7 @@ import pytest
 
 from ostbc_blind import (kernel, matrix_from_underline, overline, underline,
                          unvec, vec)
+from ostbc_blind.embed import _kernels
 from oracles import kron
 
 
@@ -127,6 +128,22 @@ class TestNullSpace:
         ns, _ = kernel(m, 1e-9)
         assert ns.shape == (5, 3)
         np.testing.assert_allclose(m @ ns, 0, rtol=0, atol=1e-12)
+
+    def test_stack_of_one_dimension_is_one_array(self, rng):
+        m = rng.standard_normal((4, 2, 5))
+        dims, bases, s = _kernels(m, 1e-9)
+        np.testing.assert_array_equal(dims, [3, 3, 3, 3])
+        assert bases.shape == (4, 5, 3) and s.shape == (4, 2)
+        for t in range(4):
+            assert bases[t].flags.c_contiguous
+            np.testing.assert_array_equal(bases[t], kernel(m[t], 1e-9)[0])
+
+    def test_stack_of_mixed_dimensions_has_no_bases(self):
+        m = np.stack([np.zeros((3, 3)), np.eye(3)])
+        dims, bases, s = _kernels(m, 1e-9)
+        np.testing.assert_array_equal(dims, [3, 0])
+        assert bases is None
+        np.testing.assert_array_equal(s, [[0, 0, 0], [1, 1, 1]])
 
     def test_contract_on_random_low_rank(self, rng):
         for _ in range(10):

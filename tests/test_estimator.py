@@ -278,7 +278,7 @@ class TestEstimateChannel:
         product = estimator._rayleigh_product
 
         def counting(*args):
-            calls.append(args[-1].shape)
+            calls.append(args[2].shape)
             return product(*args)
 
         monkeypatch.setattr(estimator, "_rayleigh_product", counting)
@@ -318,6 +318,24 @@ class TestEstimateChannel:
         cov[0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             estimate_channel(rc, cov)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 16])
+    def test_power_of_two_scale_keeps_the_bits(self, code, M):
+        # R and 2^e R give the same estimate, also where the norms of the
+        # unscaled iteration would overflow (e = 600, 1000)
+        rc = realify(code, M)
+        for sigma2 in (0.0, 0.01, 1.0):
+            cfg = SimulationConfig(code, M, ConstellationModel.iid_pm1(code.K),
+                                   200, sigma2, 40 + M)
+            cov = sample_R(simulate(cfg)[0])
+            h, gap = estimate_channel(rc, cov)
+            for e in (-1000, -600, 600, 1000):
+                h_e, gap_e = estimate_channel(rc, np.ldexp(cov, e))
+                np.testing.assert_array_equal(h_e, h)
+                assert gap_e == gap
+            # subnormal entries: the capped scale keeps the block finite
+            h_sub, _ = estimate_channel(rc, np.ldexp(cov, -1040))
+            assert abs(np.linalg.norm(h_sub) - 1.0) <= 1e-12
 
     def test_noiseless_estimate_is_valid_ambiguity(self, code, rng):
         rc = realify(code, 2)

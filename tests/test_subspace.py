@@ -87,6 +87,10 @@ class TestComputeBstar:
             c = np.trace(b.T @ b) / code.K
             assert np.linalg.norm(b.T @ b - c * np.eye(code.K)) <= 1e-10 * max(c, 1)
 
+    def test_basis_is_read_only(self, alamouti):
+        with pytest.raises(ValueError, match="read-only"):
+            compute_bstar(alamouti).basis[1][0, 0] = 0.0
+
     def test_rejects_nonpositive_tol(self, alamouti):
         with pytest.raises(ValueError):
             compute_bstar(alamouti, 0.0)
@@ -292,16 +296,19 @@ class TestPrincipalAngles:
              "near-zero": q[:, :kb],
              "near-right": q[:, ka:ka + kb]}[regime]
         b = b + 1e-10 * rng.standard_normal((9, kb))
-        basis_a = [col.reshape(3, 3) for col in a.T]
+        full = [col.reshape(3, 3) for col in a.T]
         basis_b = [col.reshape(3, 3) for col in b.T]
-        angles = principal_angles(basis_a, basis_b)
-        assert angles.shape == (min(ka, kb),)
-        if regime == "near-zero":
-            assert np.max(angles) <= 1e-8
-        if regime == "near-right":
-            assert np.min(angles) >= np.pi / 2 - 1e-8
-        np.testing.assert_allclose(
-            angles, scipy_principal_angles(basis_a, basis_b), rtol=0, atol=1e-14)
+        # and ka + 1 matrices of rank ka, which the rank cut must reduce
+        for basis_a in (full, full + full[:1]):
+            angles = principal_angles(basis_a, basis_b)
+            assert angles.shape == (min(ka, kb),)
+            if regime == "near-zero":
+                assert np.max(angles) <= 1e-8
+            if regime == "near-right":
+                assert np.min(angles) >= np.pi / 2 - 1e-8
+            np.testing.assert_allclose(
+                angles, scipy_principal_angles(basis_a, basis_b),
+                rtol=0, atol=1e-14)
 
 
 class TestOneSvdPerKernel:
