@@ -8,8 +8,7 @@ from .estimator import (ConstellationModel, ConvergenceError, EstimateReport,
                         SimulationConfig, ambiguity_matrix, decode,
                         draw_channel, estimate_channel, predicted_eigenvalues,
                         run_estimate, sample_R, simulate, theoretical_R)
-from .gamma import (channel_kernel_matrix, gamma, gamma_k, gamma_operator,
-                    unit_gammas)
+from .gamma import channel_kernel_matrix, gamma, gamma_k, unit_gammas
 from .kyfan import (KyFanError, KyFanSampleReport, SpectrumSpec,
                     construct_maximizer, kyfan_membership, kyfan_sample_check,
                     kyfan_value, random_stiefel)

@@ -58,7 +58,7 @@ def _chunk_trials(code, M):
     return max(1, min(CHUNK_BYTES // matrix_bytes, 1024))
 
 
-def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
+def find_mstar(code, M_max, trials, seed, tol=1e-9):
     """Census M = 1..M_max and locate the critical antenna count.
 
     Trial t at M draws its channel from the stream
@@ -74,7 +74,7 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
 
     The critical count is the smallest M at which every trial's subspace
     equals the invariant space (same dimension and all principal angles
-    within ``angle_tol``). Raises :class:`CensusError` when the trials
+    within 1e-8 rad). Raises :class:`CensusError` when the trials
     at one M disagree on the dimension (the message gives the observed
     histogram), or the dimension fails to be non-increasing, bounded below
     by the invariant dimension and equal to it at every M >= N: whether
@@ -108,7 +108,7 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9, angle_tol=1e-8):
                 f"a single value; deterministic-dimension check failed")
     dims.flags.writeable = angles.flags.writeable = False
     d_mode = dict(zip(m_range, dims[:, 0].tolist()))
-    matches = (dims[:, 0] == bstar.dim) & (angles <= angle_tol).all(axis=1)
+    matches = (dims[:, 0] == bstar.dim) & (angles <= 1e-8).all(axis=1)
     prev = None
     for M in m_range:
         if d_mode[M] < bstar.dim:

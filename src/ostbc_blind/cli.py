@@ -23,7 +23,7 @@ from .subspace import (AmbiguityStructureError, SubspaceError, compute_bspace,
 
 _ERRORS = (ValueError, KeyError, OSError, CodeFormatError, CodeValidationError,
            SubspaceError, AmbiguityStructureError, CensusError, KyFanError,
-           ConvergenceError, MemoryError)
+           ConvergenceError, MemoryError, OverflowError)
 
 
 def _add_code_args(parser):

@@ -7,9 +7,11 @@ block
 
 vanishes for every k exactly when B transports the code structure: B
 belongs to the channel ambiguity space of a channel H precisely when the
-stacked blocks annihilate H. Assembling the map B -> stacked blocks as an
-explicit real matrix turns every ambiguity-space question into a kernel
-computation.
+stacked blocks annihilate H. One map is assembled as an explicit real
+matrix, B -> underline(gamma(B) H), which turns every ambiguity-space
+question into a kernel computation. The invariant space is the case
+H = I_N: gamma(B) H = 0 depends on H only through its column space, so
+B* = B(I_N) = B(H) for every H whose columns span C^N.
 """
 
 import numpy as np
@@ -53,23 +55,6 @@ def unit_gammas(code):
     idx = np.arange(K)
     blocks[:, idx, idx] -= C[:, None]           # [r, s, s] -= C_r
     return blocks.transpose(1, 0, 2, 3, 4).reshape(K * K, L * K, N)
-
-
-def gamma_operator(code):
-    """Real matrix of the map B -> stacked real embeddings of gamma blocks.
-
-    Returns a read-only (2*L*K*N, K^2) array; column p (vec(B) order) is
-    the concatenation over k of underline(gamma_k(E_rs)). Its kernel,
-    reshaped back to K x K matrices, is the channel-independent
-    ambiguity space of the code.
-    """
-    K, L, N = code.K, code.L, code.N
-    stacked = unit_gammas(code).reshape(K * K, K, L, N)
-    # Row order (k, column of the block, Re/Im, row): underline per block.
-    re_im = np.concatenate([stacked.real, stacked.imag], axis=2)
-    G = re_im.transpose(1, 3, 2, 0).reshape(2 * L * K * N, K * K)
-    G.setflags(write=False)
-    return G
 
 
 def channel_kernel_matrix(code, H0):

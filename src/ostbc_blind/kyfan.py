@@ -24,7 +24,8 @@ class SpectrumSpec:
 
     ``q_minus`` counts eigenvalues strictly above the q-th one and
     ``q_plus`` counts those equal to it or above (ties resolved with the
-    degeneracy tolerance), so ``0 <= q_minus < q <= q_plus <= m``.
+    degeneracy tolerance ``degeneracy_tol``, 1e-8 times the largest
+    eigenvalue magnitude), so ``0 <= q_minus < q <= q_plus <= m``.
     """
 
     P: np.ndarray = field(repr=False)
@@ -40,7 +41,7 @@ class SpectrumSpec:
         return self.P.shape[0]
 
     @classmethod
-    def from_matrix(cls, P, q, degeneracy_rtol=1e-8):
+    def from_matrix(cls, P, q):
         P = np.asarray(P, dtype=float)
         m = P.shape[0]
         if P.shape != (m, m):
@@ -52,7 +53,7 @@ class SpectrumSpec:
             raise ValueError(f"q must lie in [1, {m}], got {q}")
         lam, V = np.linalg.eigh((P + P.T) / 2)
         lam, V = lam[::-1].copy(), V[:, ::-1].copy()
-        tol = degeneracy_rtol * (np.max(np.abs(lam)) if m else 0.0)
+        tol = 1e-8 * (np.max(np.abs(lam)) if m else 0.0)
         lam_q = lam[q - 1]
         q_minus = int(np.sum(lam > lam_q + tol))
         q_plus = int(np.sum(lam >= lam_q - tol))

@@ -253,7 +253,7 @@ def code_from_dict(payload):
         name = str(payload["name"])
         n, l, k = int(payload["N"]), int(payload["L"]), int(payload["K"])
         raw = payload["C"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CodeFormatError(f"malformed code definition: {exc}") from exc
     if not isinstance(raw, list):
         raise CodeFormatError("field 'C' must be a list of matrices")
@@ -262,7 +262,7 @@ def code_from_dict(payload):
         try:
             arr = np.array([[complex(float(e[0]), float(e[1])) for e in row]
                             for row in mat], dtype=complex)
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, LookupError, OverflowError) as exc:
             raise CodeFormatError(f"matrix {idx} is not numeric: {exc}") from exc
         if arr.ndim != 2:
             raise CodeFormatError(f"matrix {idx} is not two-dimensional")

@@ -1,11 +1,12 @@
 """Ambiguity subspaces, their channel lift, and Hurwitz-Radon structure.
 
-Two spaces are computed per code: the channel-independent invariant space
-(kernel of the full ambiguity map) and, for a concrete channel
-realization, the generally larger channel space (kernel of the map
-composed with the channel matrix). Both consist of matrices that are
-orthogonal up to a positive constant, always contain the identity, and
-carry a basis {I} + Hurwitz-Radon family.
+Two spaces are computed per code, both as the kernel of the map
+B -> underline(gamma(B) H): for a concrete channel realization H, the
+channel space B(H), and for H = I_N, the channel-independent invariant
+space B* = B(I_N), which equals B(H) for every H whose columns span C^N
+and lies inside every B(H). Both consist of matrices that are orthogonal
+up to a positive constant, always contain the identity, and carry a
+basis {I} + Hurwitz-Radon family.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import _check_tol, _kernels, vec
-from .gamma import _channel_kernel_matrices, gamma_operator, unit_gammas
+from .gamma import _channel_kernel_matrices, unit_gammas
 from .ostbc import _apply_phi
 
 
@@ -113,21 +114,32 @@ def _identity_first(span, K, resid_tol, error):
     return taken
 
 
-def _kernel_bases(ops, K, tol):
-    """Ambiguity-space bases of a stack of operators acting on vec(B).
+def _channel_bases(code, unit, H0, tol):
+    """Ambiguity-space bases of a stack of channel matrices H0, (T, N, M).
 
-    ``ops`` has shape (T, r, K^2). One stacked SVD gives every kernel, and
-    each operator's kernel dimension comes from its own singular values.
+    ``unit`` is the code's :func:`unit_gammas`, built once per code. One
+    stacked SVD of the channel kernel matrices gives every kernel, and
+    each channel's kernel dimension comes from its own singular values.
     Returns ``(dims, mats)``: the (T,) dimensions and the read-only
     (T, dim, K, K) stack of Frobenius-orthonormal bases, the normalized
     identity first and the others sign-fixed, or ``None`` when the
     dimensions differ. Every element must leave a residual of at most
-    tol * max(sigma_max, 1) under its own operator; the first operator
-    that breaks a check raises :class:`SubspaceError`.
+    tol * max(sigma_max, 1) under its own channel's matrix; the first
+    channel that breaks a check raises :class:`SubspaceError`. The
+    identity channel H0 = I_N gives the invariant space B*, which equals
+    B(H) for every H whose columns span C^N.
     """
+    if H0.shape[-2] != code.N:
+        raise ValueError(
+            f"channel has {H0.shape[-2]} transmit antennas, "
+            f"code {code.name!r} expects {code.N}")
+    if not H0.any(axis=(-2, -1)).all():
+        raise ValueError("zero channel matrix is rejected")
+    ops = _channel_kernel_matrices(unit, H0)
     dims, span, s = _kernels(ops, tol)
     if span is None:
         return dims, None
+    K = code.K
     taken = _identity_first(span, K, 1e-10, SubspaceError)
     mats = taken.reshape(len(dims), -1, K, K).swapaxes(-1, -2)
     _fix_sign(mats[:, 1:])
@@ -143,20 +155,6 @@ def _kernel_bases(ops, K, tol):
     return dims, mats
 
 
-def _channel_bases(code, unit, H0, tol):
-    """:func:`_kernel_bases` of a stack of channel matrices H0, (T, N, M).
-
-    ``unit`` is the code's :func:`unit_gammas`, built once per code.
-    """
-    if H0.shape[-2] != code.N:
-        raise ValueError(
-            f"channel has {H0.shape[-2]} transmit antennas, "
-            f"code {code.name!r} expects {code.N}")
-    if not H0.any(axis=(-2, -1)).all():
-        raise ValueError("zero channel matrix is rejected")
-    return _kernel_bases(_channel_kernel_matrices(unit, H0), code.K, tol)
-
-
 def _subspace(bases, code, tol, kind, M=None, seed=None):
     _, mats = bases
     return AmbiguitySubspace(code, kind, M, mats.shape[1], tuple(mats[0]), tol,
@@ -164,15 +162,18 @@ def _subspace(bases, code, tol, kind, M=None, seed=None):
 
 
 def compute_bstar(code, tol=1e-9):
-    """Channel-independent ambiguity space of a code.
+    """Channel-independent ambiguity space B* of a code.
 
-    Kernel of the assembled ambiguity operator, reshaped to K x K
-    matrices and normalized identity-first. Its dimension is 1 exactly
-    when the code is identifiable from second-order statistics.
+    Whether gamma(B) H = 0 depends on H only through the column space of
+    H, so B* is the channel space B(I_N) of the identity channel, and
+    equals B(H) for every H whose columns span C^N. It is computed
+    through the same kernel route as :func:`compute_bspace`, normalized
+    identity-first. Its dimension is 1 exactly when the code is
+    identifiable from second-order statistics.
     """
     _check_tol(tol)
-    ops = gamma_operator(code)[None]
-    return _subspace(_kernel_bases(ops, code.K, tol), code, tol, "invariant")
+    bases = _channel_bases(code, unit_gammas(code), np.eye(code.N)[None], tol)
+    return _subspace(bases, code, tol, "invariant")
 
 
 def compute_bspace(code, channel, tol=1e-9, seed=None):
@@ -337,11 +338,12 @@ def principal_angles(basis_a, basis_b):
     return _angles([basis_a], _orth_basis(basis_b))[0]
 
 
-def spans_match(basis_a, basis_b, angle_tol=1e-8):
-    """True when both bases span the same space within an angular tolerance."""
+def spans_match(basis_a, basis_b):
+    """True when both bases span the same space: equal lengths, and every
+    principal angle at most 1e-8 rad."""
     if len(basis_a) != len(basis_b):
         return False
-    return float(np.max(principal_angles(basis_a, basis_b))) <= angle_tol
+    return float(np.max(principal_angles(basis_a, basis_b))) <= 1e-8
 
 
 def subspace_report(sub, hr=None):

@@ -53,7 +53,7 @@ def test_criterion_01_alamouti_invariant_space(capsys):
         om4 = np.array([[0.0, 1.0], [1.0, 0.0]])
         gens = [np.eye(4), np.kron(c3, np.eye(2)), np.kron(om4, c3),
                 np.kron(om2, c3)]
-        assert spans_match(sub.basis, gens, angle_tol=1e-8)
+        assert spans_match(sub.basis, gens)
 
 
 def test_criterion_02_odd_k_rule(capsys):

@@ -202,8 +202,8 @@ class TestBatchedCensus:
         retained_and_peak(100)  # warm up lazy imports and caches
         # the result holds one int and one float per trial: 16 B; a pass
         # holds at most 1024 trials, so the peak grows by no more
-        per_trial = (retained_and_peak(80000)
-                     - retained_and_peak(20000)) / 60000
+        per_trial = (retained_and_peak(10000)
+                     - retained_and_peak(2500)) / 7500
         assert (per_trial <= 24).all(), per_trial
 
 

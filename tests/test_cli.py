@@ -410,6 +410,30 @@ class TestHostileInput:
         # so the allocation fails at once
         self.assert_one_error(argv, capsys, "Unable to allocate 6.94 EiB")
 
+    def test_antenna_count_beyond_any_index(self, capsys):
+        self.assert_one_error(
+            ["census", "--code", "alamouti", "--rx-max",
+             "100000000000000000000", "--trials", "1", "--seed", "1"],
+            capsys, "too large")
+
+    def test_header_beyond_any_integer(self, tmp_path, capsys):
+        text = json.dumps(code_to_dict(builtin_code("alamouti")))
+        path = tmp_path / "huge_n.json"
+        path.write_text(text.replace('"N": 2', '"N": 1e400', 1))
+        for action in (["codes", "validate"], ["bstar"]):
+            self.assert_one_error(action + ["--code-file", str(path)], capsys,
+                                  "malformed code definition")
+
+    @pytest.mark.parametrize("entry", [[10 ** 400, 0.0], {"a": 1}],
+                             ids=["400-digit", "object"])
+    def test_entry_that_is_no_number(self, entry, tmp_path, capsys):
+        payload = code_to_dict(builtin_code("alamouti"))
+        payload["C"][0][0][0] = entry
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(payload))
+        self.assert_one_error(["bstar", "--code-file", str(path)], capsys,
+                              "matrix 0 is not numeric")
+
     @pytest.mark.parametrize("m", ["0", "-1"])
     def test_kyfan_without_matrix(self, m, capsys):
         self.assert_one_error(["kyfan", "--m", m, "--q", "1", "--seed", "1"],

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ostbc_blind import (AmbiguityStructureError, AmbiguitySubspace, build_A,
-                         builtin_code, check_pure_rotation, compute_bspace,
+from ostbc_blind import (AmbiguityStructureError, AmbiguitySubspace,
+                         ChannelRealization, build_A, builtin_code,
+                         check_pure_rotation, compute_bspace,
                          compute_bstar, draw_channel, hr_basis,
                          lift_to_channel, principal_angles, realify, rho,
                          spans_match, vec)
@@ -56,7 +57,7 @@ class TestComputeBstar:
 
     def test_alamouti_span_matches_generators(self, alamouti):
         sub = compute_bstar(alamouti)
-        assert spans_match(sub.basis, alamouti_generators(), angle_tol=1e-8)
+        assert spans_match(sub.basis, alamouti_generators())
 
     def test_basis_orthonormal_identity_first(self, code):
         sub = compute_bstar(code)
@@ -91,6 +92,15 @@ class TestComputeBstar:
         with pytest.raises(ValueError, match="read-only"):
             compute_bstar(alamouti).basis[1][0, 0] = 0.0
 
+    def test_bstar_is_channel_space_of_identity(self, code):
+        # gamma(B) H = 0 depends on H only through its column space
+        eye = ChannelRealization.from_matrix(np.eye(code.N))
+        bstar = compute_bstar(code).basis
+        bspace = compute_bspace(code, eye).basis
+        assert len(bstar) == len(bspace)
+        for a, b in zip(bstar, bspace):
+            assert a.tobytes() == b.tobytes()
+
     def test_rejects_nonpositive_tol(self, alamouti):
         with pytest.raises(ValueError):
             compute_bstar(alamouti, 0.0)
@@ -103,7 +113,7 @@ class TestComputeBspace:
         bstar = compute_bstar(code)
         ch = draw_channel(code.N, M, rng)
         sub = compute_bspace(code, ch)
-        assert spans_match(sub.basis, bstar.basis, angle_tol=1e-8)
+        assert spans_match(sub.basis, bstar.basis)
 
     def test_always_contains_invariant_space(self, code, rng):
         bstar = compute_bstar(code)
@@ -243,7 +253,7 @@ class TestHurwitzRadon:
         hr_b = hr_basis(shuffled)
         span_a = [hr_a.identity] + list(hr_a.family)
         span_b = [hr_b.identity] + list(hr_b.family)
-        assert spans_match(span_a, span_b, angle_tol=1e-8)
+        assert spans_match(span_a, span_b)
 
     def test_corrupted_subspace_detected(self):
         code = builtin_code("real2")
