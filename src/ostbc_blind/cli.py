@@ -14,7 +14,8 @@ import numpy as np
 from .census import CensusError, census_summary, find_mstar, write_census_csv
 from .estimator import (ConstellationModel, ConvergenceError,
                         SimulationConfig, draw_channel, run_estimate)
-from .kyfan import KyFanError, SpectrumSpec, kyfan_sample_check
+from .kyfan import (MAX_SAMPLES, KyFanError, SpectrumSpec,
+                    kyfan_sample_check)
 from .ostbc import (BUILTIN_CODE_NAMES, VALIDATION_TOL, CodeFormatError,
                     CodeValidationError, builtin_code, load_code,
                     validate_code)
@@ -39,15 +40,60 @@ def _resolve_code(args, validate=True):
     return load_code(args.code_file, validate=validate)
 
 
+#: Numbers per formatted chunk of an array: the JSON and CSV writers hold
+#: the text and Python floats of one chunk at a time, whatever the length.
+CHUNK_NUMBERS = 4096
+
+
+def _format_rows(arr, row, sep):
+    """``sep.join(row % tuple(r.ravel().tolist()) for r in arr)``, in pieces.
+
+    ``row`` is a %-template with one ``%r`` per number of ``arr[0]``; the
+    rows are formatted about :data:`CHUNK_NUMBERS` numbers at a time, and
+    ``%r`` of a Python float is its ``float.__repr__``.
+    """
+    step = max(1, CHUNK_NUMBERS // arr[0].size)
+    for start in range(0, len(arr), step):
+        part = arr[start:start + step]
+        text = sep.join([row] * len(part)) % tuple(part.ravel().tolist())
+        yield sep + text if start else text
+
+
+def _row_template(shape, level):
+    """The json.dumps(indent=2) text of one array item, ``%r`` per number."""
+    if not shape:
+        return "%r"
+    inner = "\n" + "  " * (level + 1)
+    item = _row_template(shape[1:], level + 1)
+    return f"[{inner}{(',' + inner).join([item] * shape[0])}\n{'  ' * level}]"
+
+
+def _is_finite_float_array(obj):
+    """A non-empty float64 array of finite numbers; min and max hold no copy."""
+    return (isinstance(obj, np.ndarray) and obj.dtype == float and obj.ndim > 0
+            and obj.size > 0 and np.isfinite([obj.min(), obj.max()]).all())
+
+
 def _json_pieces(obj, level):
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces.
 
     A list of finite floats comes out as one piece joined from their
     ``float.__repr__``, which is what the json encoder writes for each;
-    keys, non-finite floats and other scalars go through ``json.dumps``.
+    a non-empty float64 array of finite numbers comes out a chunk of rows
+    at a time, through one ``%r`` template per chunk, which gives the text
+    of its ``tolist()``. Other arrays go through ``tolist()``; keys,
+    non-finite floats and other scalars through ``json.dumps``.
     Dictionary keys must be strings.
     """
-    if isinstance(obj, dict):
+    if _is_finite_float_array(obj):
+        inner = "\n" + "  " * (level + 1)
+        yield "[" + inner
+        yield from _format_rows(obj, _row_template(obj.shape[1:], level + 1),
+                                "," + inner)
+        yield f"\n{'  ' * level}]"
+    elif isinstance(obj, np.ndarray):
+        yield from _json_pieces(obj.tolist(), level)
+    elif isinstance(obj, dict):
         if not obj:
             yield "{}"
             return
@@ -159,9 +205,9 @@ def cmd_estimate(args):
                               args.sigma2, args.seed)
     report = run_estimate(config, args.tol)
     payload = {
-        "h_hat": report.h_hat.tolist(),
-        "s_hat": report.s_hat.tolist(),
-        "B_hat": report.B_hat.tolist(),
+        "h_hat": report.h_hat,
+        "s_hat": report.s_hat,
+        "B_hat": report.B_hat,
         "residual": report.residual,
         "subspace_angle": report.subspace_angle,
     }
@@ -169,9 +215,8 @@ def cmd_estimate(args):
         _write_json(payload, args.json)
     if args.dump_blocks:
         with open(args.dump_blocks, "w", encoding="utf-8") as fh:
-            for row in report.blocks:
-                fh.write(",".join(repr(float(x)) for x in row))
-                fh.write("\n")
+            row = ",".join(["%r"] * report.blocks.shape[1]) + "\n"
+            fh.writelines(_format_rows(report.blocks, row, ""))
     angle_deg = np.degrees(report.subspace_angle)
     print(f"code={code.name} M={args.rx} J={args.blocks} sigma2={args.sigma2:g} "
           f"seed={args.seed} residual={report.residual:.3e} "
@@ -261,7 +306,8 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=int, default=10000,
+                   help=f"random matrices to draw, at most {MAX_SAMPLES}")
     p.add_argument("--json", help="write the check report to this path")
     p.set_defaults(func=cmd_kyfan)
 

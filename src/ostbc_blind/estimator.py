@@ -159,22 +159,42 @@ def simulate(config):
     rc = realify(config.code, config.M)
     A = build_A(rc, channel.h0)
     truth = config.constellation.draw(rng, config.J)
-    noise = rng.normal(0.0, np.sqrt(config.sigma2 / 2),
-                       size=(config.J, rc.block_rows))
-    blocks = truth @ A.T + noise
+    blocks = truth @ A.T
+    scale = np.sqrt(config.sigma2 / 2)
+    step = max(1, CHUNK_NUMBERS // rc.block_rows)
+    for start in range(0, config.J, step):
+        part = blocks[start:start + step]
+        part += rng.normal(0.0, scale, size=part.shape)
     return blocks, truth, channel
 
 
+#: Numbers per row chunk of the in-place passes of :func:`simulate` and
+#: :func:`sample_R`: they hold one chunk beside their arrays.
+CHUNK_NUMBERS = 1 << 16
+
+
 def sample_R(blocks):
-    """Sample covariance (1/J) sum_i y_i y_i^T, a symmetrised (2ML, 2ML) array."""
+    """Sample covariance (1/J) sum_i y_i y_i^T, a symmetrised (2ML, 2ML) array.
+
+    Each entry is (R[a, b] + R[b, a]) / 2 of R = B^T B / J, formed in place
+    one row block of the upper triangle at a time.
+    """
     blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
     J = blocks.shape[0]
     if J < 1 or blocks.size == 0:
         raise ValueError("at least one received block is required")
     with np.errstate(over="ignore", invalid="ignore"):
         # an overflow leaves R non-finite, which estimate_channel rejects
-        R = blocks.T @ blocks / J
-        return (R + R.T) / 2
+        R = blocks.T @ blocks
+        R /= J
+        step = max(1, CHUNK_NUMBERS // len(R))
+        for start in range(0, len(R), step):
+            # rows and columns from start on still hold B^T B / J
+            stop = start + step
+            upper = (R[start:stop, start:] + R[start:, start:stop].T) / 2
+            R[start:stop, start:] = upper
+            R[start:, start:stop] = upper.T
+        return R
 
 
 class ConvergenceError(RuntimeError):
@@ -320,7 +340,8 @@ def ambiguity_matrix(rc, h0, h_hat):
 def run_estimate(config, tol=1e-9):
     """Full pipeline: simulate, estimate, decode, extract the ambiguity."""
     _check_tol(tol)
-    blocks, _, channel = simulate(config)
+    blocks, truth, channel = simulate(config)
+    del truth   # from here only blocks and s_hat grow with J
     rc = realify(config.code, config.M)
     h_hat, gap = estimate_channel(rc, sample_R(blocks))
     s_hat = decode(rc, h_hat, blocks)

@@ -142,20 +142,26 @@ class KyFanSampleReport:
 # Stiefel draws per batch of the sample check: bounds its memory at
 # SAMPLE_CHUNK * m * q floats whatever the sample count.
 SAMPLE_CHUNK = 8192
+# Largest sample count of the check, which bounds its time: 2**32 samples
+# of a 6 x 3 check take about an hour at a million samples per second.
+MAX_SAMPLES = 2 ** 32
 
 
 def kyfan_sample_check(spec, samples, seed, near_tol=1e-9, membership_tol=1e-8):
     """Sample random orthonormal-column matrices against the trace bound.
 
-    Draws ``samples`` matrices, checks that no trace exceeds
-    value + 1e-12 |P|, and that every sample within ``near_tol`` of the
-    maximum passes the membership test. Violations raise
+    Draws ``samples`` matrices, at most :data:`MAX_SAMPLES`, checks that
+    no trace exceeds value + 1e-12 |P|, and that every sample within
+    ``near_tol`` of the maximum passes the membership test. Violations raise
     :class:`KyFanError`; the returned report carries the summary. The
     draws come from one random stream in batches of :data:`SAMPLE_CHUNK`,
     so the result does not depend on the batch size.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"sample count must be at most {MAX_SAMPLES} "
+                         f"(2**32, about an hour of sampling)")
     rng = np.random.default_rng(seed)
     value = kyfan_value(spec)
     bound = value + 1e-12 * np.linalg.norm(spec.P)

@@ -12,6 +12,7 @@ X(s)^H X(s) = |s|^2 I_N for every real symbol vector s.
 
 import functools
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,6 +248,18 @@ def code_to_dict(code):
     }
 
 
+def _complex_entry(entry, where):
+    """The complex number of a code-file entry, an [re, im] pair of numbers."""
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise ValueError(f"entry {where} is a {type(entry).__name__}, "
+                         f"not an [re, im] pair of numbers")
+    try:
+        return complex(float(entry[0]), float(entry[1]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"entry {where} is not an [re, im] pair of numbers: "
+                         f"{exc}") from exc
+
+
 def code_from_dict(payload):
     """Build a code from the JSON definition structure (shape checks only)."""
     try:
@@ -255,14 +268,17 @@ def code_from_dict(payload):
         raw = payload["C"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CodeFormatError(f"malformed code definition: {exc}") from exc
+    if max(abs(n), abs(l), abs(k)) > sys.maxsize:
+        raise CodeFormatError("malformed code definition: N, L and K must "
+                              "fit an array index")
     if not isinstance(raw, list):
         raise CodeFormatError("field 'C' must be a list of matrices")
     mats = []
     for idx, mat in enumerate(raw):
         try:
-            arr = np.array([[complex(float(e[0]), float(e[1])) for e in row]
-                            for row in mat], dtype=complex)
-        except (TypeError, ValueError, LookupError, OverflowError) as exc:
+            arr = np.array([[_complex_entry(e, (i, j)) for j, e in enumerate(row)]
+                            for i, row in enumerate(mat)], dtype=complex)
+        except (TypeError, ValueError) as exc:
             raise CodeFormatError(f"matrix {idx} is not numeric: {exc}") from exc
         if arr.ndim != 2:
             raise CodeFormatError(f"matrix {idx} is not two-dimensional")

@@ -6,15 +6,15 @@ blocks, explicit Kronecker products for the dense channel operators and
 the channel lift, exact rational arithmetic (sympy) for kernel
 dimensions, per-column loops for the assembled operators, scipy for
 principal angles, a QR and an arcsine for the angle between a vector and
-a subspace, one batch of draws for the Ky Fan sample check, and one
-trial at a time for the census.
+a subspace, one batch of draws for the Ky Fan sample check and for the
+link noise, and one trial at a time for the census.
 """
 
 import numpy as np
 
-from ostbc_blind import (compute_bspace, compute_bstar, draw_channel,
-                         lift_to_channel, overline, principal_angles,
-                         random_stiefel)
+from ostbc_blind import (build_A, compute_bspace, compute_bstar,
+                         draw_channel, lift_to_channel, overline,
+                         principal_angles, random_stiefel, realify)
 
 
 def kron(a, b):
@@ -96,6 +96,17 @@ def vector_subspace_angle(v, q):
 def build_A_dense(rc, h):
     """Columns Phi_k h through the dense operators."""
     return np.column_stack([p @ h for p in dense_phi(rc)])
+
+
+def simulate_oneshot(config):
+    """The link simulation with all the noise drawn in one batch."""
+    rng = np.random.default_rng(config.seed)
+    channel = draw_channel(config.code.N, config.M, rng)
+    rc = realify(config.code, config.M)
+    truth = config.constellation.draw(rng, config.J)
+    noise = rng.normal(0.0, np.sqrt(config.sigma2 / 2),
+                       size=(config.J, rc.block_rows))
+    return truth @ build_A(rc, channel.h0).T + noise, truth, channel
 
 
 def kyfan_traces_oneshot(spec, samples, seed):

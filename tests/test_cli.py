@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 import ostbc_blind
 from ostbc_blind import code_to_dict, builtin_code
-from ostbc_blind import cli, estimator
+from ostbc_blind import cli, estimator, kyfan
 from ostbc_blind.cli import main
 
 
@@ -256,12 +257,19 @@ def test_outputs_independent_of_blas_threads(tmp_path):
     assert results[0] == results[1]
 
 
+def assert_same_text(got, want):
+    """Equal texts; on a mismatch pytest names the first differing line,
+    where its diff of two long texts would take minutes."""
+    assert got.split("\n") == want.split("\n")
+
+
 class TestJsonWriter:
     """The streamed writer gives exactly the text of json.dumps."""
 
     @staticmethod
     def reference(payload):
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          default=np.ndarray.tolist) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["bstar", "--code", "alamouti"],
@@ -271,6 +279,9 @@ class TestJsonWriter:
         ["estimate", "--code", "alamouti", "--rx", "2", "--blocks", "50",
          "--sigma2", "0.01", "--seed", "13"],
         ["kyfan", "--m", "5", "--q", "2", "--seed", "2", "--samples", "50"],
+        # s_hat of shape (J, 1), one row past a chunk
+        ["estimate", "--code", "scalar", "--rx", "3", "--blocks",
+         str(cli.CHUNK_NUMBERS + 1), "--sigma2", "0.01", "--seed", "3"],
     ])
     def test_every_subcommand_payload(self, argv, tmp_path, monkeypatch):
         payloads = []
@@ -284,7 +295,7 @@ class TestJsonWriter:
         path = tmp_path / "out.json"
         assert main(argv + ["--json", str(path)]) == 0
         assert len(payloads) == 1
-        assert path.read_text() == self.reference(payloads[0])
+        assert_same_text(path.read_text(), self.reference(payloads[0]))
 
     @pytest.mark.parametrize("payload", [
         {"nan": float("nan"), "inf": [float("inf"), -float("inf"), 1.5]},
@@ -297,7 +308,69 @@ class TestJsonWriter:
     def test_edge_cases(self, payload, tmp_path):
         path = tmp_path / "out.json"
         cli._write_json(payload, path)
-        assert path.read_text() == self.reference(payload)
+        assert_same_text(path.read_text(), self.reference(payload))
+
+    @pytest.mark.parametrize("payload", [
+        np.array([1.5, np.nan, 2.0]),
+        {"a": np.array([[np.inf, 1.0], [2.0, -np.inf]])},
+        np.arange(6).reshape(2, 3),
+        np.array([True, False]),
+        np.linspace(-1.0, 1.0, 7),
+        np.array([0.1, -0.0, 5e-324, 1e308, -2.5e-300]),
+        np.empty((0, 4)),
+        np.empty((3, 0)),
+        np.empty(0),
+        np.array(0.25),
+        np.arange(24.0).reshape(2, 3, 4) / 7,
+        np.arange(12.0).reshape(3, 4)[:, ::2] / 3,
+        np.arange(6.0, dtype=np.float32) / 3,
+        [np.array([1.0]), {"x": np.array([[2.0]])}],
+    ], ids=lambda payload: repr(payload)[:40])
+    def test_array_edge_cases(self, payload, tmp_path):
+        path = tmp_path / "out.json"
+        cli._write_json(payload, path)
+        assert_same_text(path.read_text(), self.reference(payload))
+
+    @pytest.mark.parametrize("width", [None, 1, 4, 5])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_arrays_across_a_chunk(self, width, offset, rng, tmp_path):
+        shape = (cli.CHUNK_NUMBERS // (width or 1) + offset,)
+        if width is not None:
+            shape += (width,)
+        payload = {"a": rng.standard_normal(shape), "b": 1.0}
+        path = tmp_path / "out.json"
+        cli._write_json(payload, path)
+        assert_same_text(path.read_text(), self.reference(payload))
+
+
+def test_block_dump_matches_row_by_row_repr(tmp_path):
+    # 8 numbers per block, so the dump spans two full chunks and one row
+    J = 2 * (cli.CHUNK_NUMBERS // 8) + 1
+    path = tmp_path / "blocks.csv"
+    assert main(["estimate", "--code", "alamouti", "--rx", "2", "--blocks",
+                 str(J), "--sigma2", "0.01", "--seed", "13",
+                 "--dump-blocks", str(path)]) == 0
+    code = builtin_code("alamouti")
+    blocks = estimator.simulate(estimator.SimulationConfig(
+        code, 2, estimator.ConstellationModel.iid_pm1(code.K), J, 0.01, 13))[0]
+    assert_same_text(path.read_text(), "".join(
+        ",".join(repr(float(x)) for x in row) + "\n" for row in blocks))
+
+
+def test_estimate_memory_is_its_arrays(tmp_path):
+    """The traced peak grows by at most one blocks row (2ML = 8 numbers)
+    and one s_hat row (K = 4) per block: 96 B, bounded here by 128 B."""
+    def peak(J):
+        tracemalloc.start()
+        try:
+            assert main(["estimate", "--code", "alamouti", "--rx", "2",
+                         "--blocks", str(J), "--sigma2", "0.01", "--seed", "1",
+                         "--json", str(tmp_path / "e.json")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(80000) - peak(20000)) / 60000 <= 128
 
 
 class TestHostileInput:
@@ -433,6 +506,35 @@ class TestHostileInput:
         path.write_text(json.dumps(payload))
         self.assert_one_error(["bstar", "--code-file", str(path)], capsys,
                               "matrix 0 is not numeric")
+
+    def test_header_beyond_any_index(self, tmp_path, capsys):
+        text = json.dumps(code_to_dict(builtin_code("alamouti")))
+        path = tmp_path / "huge_n.json"
+        path.write_text(text.replace('"N": 2', f'"N": {10 ** 400}', 1))
+        for action in (["codes", "validate"], ["bstar"]):
+            self.assert_one_error(action + ["--code-file", str(path)], capsys,
+                                  "malformed code definition: N, L and K "
+                                  "must fit an array index")
+
+    def test_entry_that_is_an_object(self, tmp_path, capsys):
+        payload = code_to_dict(builtin_code("alamouti"))
+        payload["C"][1][1][0] = {"a": 1}
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(payload))
+        self.assert_one_error(["bstar", "--code-file", str(path)], capsys,
+                              "matrix 1 is not numeric: entry (1, 0) is a "
+                              "dict, not an [re, im] pair of numbers")
+
+    @pytest.mark.parametrize("samples", [2 ** 32 + 1, 10 ** 20])
+    def test_kyfan_sample_count_beyond_an_hour(self, samples, monkeypatch,
+                                               capsys):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the count check")
+
+        monkeypatch.setattr(kyfan, "random_stiefel", no_sampling)
+        self.assert_one_error(
+            ["kyfan", "--m", "4", "--q", "2", "--seed", "1", "--samples",
+             str(samples)], capsys, f"at most {kyfan.MAX_SAMPLES}")
 
     @pytest.mark.parametrize("m", ["0", "-1"])
     def test_kyfan_without_matrix(self, m, capsys):

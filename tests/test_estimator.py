@@ -11,7 +11,7 @@ from ostbc_blind import (ChannelRealization, ConstellationModel,
                          principal_angles, realify, run_estimate, sample_R,
                          simulate, theoretical_R, underline, vec)
 from oracles import (build_A_dense, dense_phi, lifted_basis, rayleigh_dense,
-                     vector_subspace_angle)
+                     simulate_oneshot, vector_subspace_angle)
 
 
 def random_spd(rng, k, lo=0.5, hi=2.0):
@@ -139,6 +139,22 @@ class TestSimulate:
         # law-of-large-numbers envelope, margin checked at this seed
         assert np.max(np.abs(Rhat - R)) <= 3.5 * scale / np.sqrt(cfg.J)
 
+    @pytest.mark.parametrize("M", [1, 2, 256])
+    @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1),
+                                               (2, 3)])
+    @pytest.mark.parametrize("kind", ["iid-uniform-pm1", "gaussian"])
+    def test_matches_one_shot_oracle(self, M, chunks, extra, kind):
+        code = builtin_code("alamouti")
+        cm = (ConstellationModel.iid_pm1(code.K) if kind == "iid-uniform-pm1"
+              else ConstellationModel.gaussian(code.K))
+        rows = estimator.CHUNK_NUMBERS // realify(code, M).block_rows
+        J = chunks * rows + extra
+        cfg = SimulationConfig(code, M, cm, J, 0.3, 11)
+        got, want = simulate(cfg), simulate_oneshot(cfg)
+        for x, y in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(got[2].H0, want[2].H0)
+
     def test_validates_config(self):
         code = builtin_code("scalar")
         cm = ConstellationModel.iid_pm1(1)
@@ -184,6 +200,13 @@ class TestSampleR:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_R(np.empty((0, 4)))
+
+    @pytest.mark.parametrize("J, n", [(1, 1), (7, 3), (50, 8), (30, 257),
+                                      (9, 600), (40, 1024)])
+    def test_matches_full_size_symmetrisation(self, J, n, rng):
+        B = rng.standard_normal((J, n)) * 3.0
+        R = B.T @ B / J
+        np.testing.assert_array_equal(sample_R(B), (R + R.T) / 2)
 
 
 class TestEstimateChannel:
