@@ -2,24 +2,22 @@
 
 from .census import (CensusError, CensusResult, census_summary, find_mstar,
                      write_census_csv)
-from .embed import (kernel, matrix_from_underline, overline, underline,
-                    unvec, vec)
+from .embed import overline, underline, vec
 from .estimator import (ConstellationModel, ConvergenceError, EstimateReport,
                         SimulationConfig, ambiguity_matrix, decode,
                         draw_channel, estimate_channel, predicted_eigenvalues,
                         run_estimate, sample_R, simulate, theoretical_R)
-from .gamma import channel_kernel_matrix, gamma, gamma_k, unit_gammas
+from .gamma import unit_gammas
 from .kyfan import (KyFanError, KyFanSampleReport, SpectrumSpec,
                     construct_maximizer, kyfan_membership, kyfan_sample_check,
                     kyfan_value, random_stiefel)
 from .ostbc import (BUILTIN_CODE_NAMES, ChannelRealization, CodeFormatError,
                     CodeValidationError, OstbCode, RealifiedCode, build_A,
-                    builtin_code, code_from_dict, code_to_dict, encode,
-                    load_code, realify, validate_code)
+                    builtin_code, code_from_dict, encode, load_code, realify,
+                    validate_code)
 from .subspace import (AmbiguityStructureError, AmbiguitySubspace,
-                       HurwitzRadonBasis, SubspaceError, check_pure_rotation,
-                       compute_bspace, compute_bstar, hr_basis,
-                       lift_to_channel, principal_angles, rho, spans_match,
-                       subspace_report)
+                       HurwitzRadonBasis, SubspaceError, compute_bspace,
+                       compute_bstar, hr_basis, lift_to_channel,
+                       principal_angles, rho, spans_match, subspace_report)
 
 __version__ = "0.1.0"

@@ -77,9 +77,7 @@ def _is_finite_float_array(obj):
 def _json_pieces(obj, level):
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces.
 
-    A list of finite floats comes out as one piece joined from their
-    ``float.__repr__``, which is what the json encoder writes for each;
-    a non-empty float64 array of finite numbers comes out a chunk of rows
+    A non-empty float64 array of finite numbers comes out a chunk of rows
     at a time, through one ``%r`` template per chunk, which gives the text
     of its ``tolist()``. Other arrays go through ``tolist()``; keys,
     non-finite floats and other scalars through ``json.dumps``.
@@ -108,14 +106,6 @@ def _json_pieces(obj, level):
             yield "[]"
             return
         inner = "\n" + "  " * (level + 1)
-        try:
-            text = ("," + inner).join(map(float.__repr__, obj))
-        except TypeError:   # an item that is not a float
-            text = None
-        # A finite float's repr holds no "n"; inf and nan need json's names.
-        if text is not None and "n" not in text:
-            yield f"[{inner}{text}\n{'  ' * level}]"
-            return
         sep = "["
         for item in obj:
             yield sep + inner

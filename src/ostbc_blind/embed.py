@@ -14,11 +14,6 @@ def vec(m):
     return np.asarray(m).ravel(order="F")
 
 
-def unvec(v, rows, cols):
-    """Inverse of :func:`vec` for a known target shape."""
-    return np.asarray(v).reshape((rows, cols), order="F")
-
-
 def underline(p):
     """Map a complex m x n matrix to a real vector of length 2mn.
 
@@ -29,12 +24,6 @@ def underline(p):
     if p.ndim != 2:
         p = np.atleast_2d(p)
     return vec(np.vstack([p.real, p.imag]))
-
-
-def matrix_from_underline(v, rows, cols):
-    """Recover the complex ``rows x cols`` matrix whose embedding is ``v``."""
-    stacked = unvec(v, 2 * rows, cols)
-    return stacked[:rows] + 1j * stacked[rows:]
 
 
 def overline(a):
@@ -76,26 +65,3 @@ def _kernels(m, rel_tol):
     if (rank != rank[0]).any():
         return n - rank, None, s
     return n - rank, np.ascontiguousarray(vh[:, rank[0]:].swapaxes(-1, -2)), s
-
-
-def kernel(m, rel_tol=1e-9):
-    """Orthonormal basis of the numerical kernel of a real matrix.
-
-    Singular directions of one SVD whose singular value falls below
-    ``rel_tol * sigma_max`` count as kernel; a wide matrix needs the full
-    ``vh``, whose extra rows span the rest of the kernel. For the zero
-    matrix the full identity basis is returned. This is the one-matrix
-    case of the stacked kernel routine that the census runs on a whole
-    stack of channel kernel matrices with one SVD call.
-
-    Args:
-        m: real matrix, shape (r, n).
-        rel_tol: relative singular-value threshold in (0, 1).
-
-    Returns:
-        ``(basis, s)``: an (n, k) array with orthonormal columns spanning
-        the kernel, and the singular values of ``m`` in descending order.
-    """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    _, basis, s = _kernels(m[None], rel_tol)
-    return basis[0], s[0]

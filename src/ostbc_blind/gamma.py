@@ -16,27 +16,6 @@ B* = B(I_N) = B(H) for every H whose columns span C^N.
 
 import numpy as np
 
-from .embed import vec
-
-
-def gamma(code, B):
-    """Stack gamma_k(B) for k = 0..K-1 into one LK x N complex matrix.
-
-    The contraction of vec(B), for a K x K matrix B, with the blocks of
-    the K^2 unit matrices from :func:`unit_gammas`.
-    """
-    B = np.asarray(B, dtype=float)
-    if B.shape != (code.K, code.K):
-        raise ValueError(f"B has shape {B.shape}, expected ({code.K}, {code.K})")
-    return np.tensordot(vec(B), unit_gammas(code), axes=(0, 0))
-
-
-def gamma_k(code, B, k):
-    """The k-th ambiguity block (0-based k): rows kL..(k+1)L of :func:`gamma`."""
-    if not 0 <= k < code.K:
-        raise IndexError(f"block index {k} out of range for K={code.K}")
-    return gamma(code, B)[k * code.L:(k + 1) * code.L]
-
 
 def unit_gammas(code):
     """Ambiguity blocks of all K^2 unit matrices, in vec(B) column order.
@@ -57,19 +36,15 @@ def unit_gammas(code):
     return blocks.transpose(1, 0, 2, 3, 4).reshape(K * K, L * K, N)
 
 
-def channel_kernel_matrix(code, H0):
+def _channel_kernel_matrices(unit, H0):
     """Matrix of the map B -> underline(gamma(B) @ H0), acting on vec(B).
 
-    Shape (2*L*K*M, K^2). Its kernel, reshaped to K x K matrices, is the
-    ambiguity space of the channel realization H0. A stack of channel
-    matrices, shape (T, N, M), gives the stack of their matrices, shape
-    (T, 2*L*K*M, K^2), with the bits of one matrix at a time.
+    ``unit`` is the code's :func:`unit_gammas`. Shape (2*L*K*M, K^2); its
+    kernel, reshaped to K x K matrices, is the ambiguity space of the
+    channel realization H0. A stack of channel matrices, shape (T, N, M),
+    gives the stack of their matrices, shape (T, 2*L*K*M, K^2), with the
+    bits of one matrix at a time.
     """
-    return _channel_kernel_matrices(unit_gammas(code), H0)
-
-
-def _channel_kernel_matrices(unit, H0):
-    """:func:`channel_kernel_matrix` from the code's :func:`unit_gammas`."""
     H0 = np.asarray(H0, dtype=complex)
     KK, LK, _ = unit.shape
     M = H0.shape[-1]

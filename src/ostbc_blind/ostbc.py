@@ -236,18 +236,6 @@ def build_A(rc, h):
     return np.ascontiguousarray(_apply_phi(rc, h).T)
 
 
-def code_to_dict(code):
-    """Serialize a code to the JSON definition structure."""
-    return {
-        "name": code.name,
-        "N": code.N,
-        "L": code.L,
-        "K": code.K,
-        "C": [[[[float(e.real), float(e.imag)] for e in row] for row in c]
-              for c in code.C],
-    }
-
-
 def _complex_entry(entry, where):
     """The complex number of a code-file entry, an [re, im] pair of numbers."""
     if not (isinstance(entry, list) and len(entry) == 2):
@@ -261,14 +249,24 @@ def _complex_entry(entry, where):
 
 
 def code_from_dict(payload):
-    """Build a code from the JSON definition structure (shape checks only)."""
+    """Build a code from the JSON definition structure (shape checks only).
+
+    N, L and K must be JSON integers (true and false are not).
+    """
+    if not isinstance(payload, dict):
+        raise CodeFormatError(f"a code definition must be a JSON object, "
+                              f"not a {type(payload).__name__}")
     try:
         name = str(payload["name"])
-        n, l, k = int(payload["N"]), int(payload["L"]), int(payload["K"])
+        header = {key: payload[key] for key in ("N", "L", "K")}
         raw = payload["C"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise CodeFormatError(f"malformed code definition: {exc}") from exc
-    if max(abs(n), abs(l), abs(k)) > sys.maxsize:
+    for key, value in header.items():
+        if type(value) is not int:      # bool is a subclass of int
+            raise CodeFormatError(f"malformed code definition: {key} must be "
+                                  f"a JSON integer, not a {type(value).__name__}")
+    if max(map(abs, header.values())) > sys.maxsize:
         raise CodeFormatError("malformed code definition: N, L and K must "
                               "fit an array index")
     if not isinstance(raw, list):
@@ -276,21 +274,25 @@ def code_from_dict(payload):
     mats = []
     for idx, mat in enumerate(raw):
         try:
-            arr = np.array([[_complex_entry(e, (i, j)) for j, e in enumerate(row)]
-                            for i, row in enumerate(mat)], dtype=complex)
+            rows = [[_complex_entry(e, (i, j)) for j, e in enumerate(row)]
+                    for i, row in enumerate(mat)]
         except (TypeError, ValueError) as exc:
             raise CodeFormatError(f"matrix {idx} is not numeric: {exc}") from exc
+        if len({len(row) for row in rows}) > 1:
+            raise CodeFormatError(f"the rows of matrix {idx} differ in length")
+        arr = np.array(rows, dtype=complex)
         if arr.ndim != 2:
             raise CodeFormatError(f"matrix {idx} is not two-dimensional")
         mats.append(arr)
-    return OstbCode(name, n, l, k, tuple(mats))
+    return OstbCode(name, header["N"], header["L"], header["K"], tuple(mats))
 
 
-def load_code(path, validate=True, tol=VALIDATION_TOL):
+def load_code(path, validate=True):
     """Load a code from a JSON definition file.
 
     With ``validate=True`` (default) the orthogonality constraints are
-    checked and a failing code raises :class:`CodeValidationError`.
+    checked at :data:`VALIDATION_TOL` and a failing code raises
+    :class:`CodeValidationError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -299,7 +301,7 @@ def load_code(path, validate=True, tol=VALIDATION_TOL):
             raise CodeFormatError(f"cannot parse {path}: {exc}") from exc
     code = code_from_dict(payload)
     if validate:
-        report = validate_code(code, tol)
+        report = validate_code(code, VALIDATION_TOL)
         if not report.passed:
             raise CodeValidationError(
                 f"code {code.name!r} from {path} failed validation: "

@@ -264,21 +264,6 @@ def hr_basis(sub):
                              float(anti))
 
 
-def check_pure_rotation(B, tol=1e-8):
-    """Test whether B is a rotation up to a positive constant.
-
-    Returns ``(c, is_rotation)`` with c = tr(B^T B)/K; the flag is true
-    iff |B^T B - c I| <= tol * c and det(B) > 0.
-    """
-    B = np.asarray(B, dtype=float)
-    if np.linalg.norm(B) == 0.0:
-        raise ValueError("zero matrix is rejected")
-    K = B.shape[0]
-    c = float(np.trace(B.T @ B) / K)
-    dev = np.linalg.norm(B.T @ B - c * np.eye(K))
-    return c, bool(dev <= tol * c and np.linalg.det(B) > 0)
-
-
 def _columns(bases):
     """Stack (T, dim, p, q) of matrix bases -> (T, p*q, dim) of their vecs."""
     b = np.asarray(bases, dtype=float)

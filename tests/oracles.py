@@ -7,7 +7,8 @@ the channel lift, exact rational arithmetic (sympy) for kernel
 dimensions, per-column loops for the assembled operators, scipy for
 principal angles, a QR and an arcsine for the angle between a vector and
 a subspace, one batch of draws for the Ky Fan sample check and for the
-link noise, and one trial at a time for the census.
+link noise, and one trial at a time for the census. It also holds the
+tests' writer of code-definition files.
 """
 
 import numpy as np
@@ -25,6 +26,18 @@ def kron(a, b):
 def dense_phi(rc):
     """The K dense operators Phi_k = I_M (x) overline(C_k), (K, 2ML, 2MN)."""
     return np.stack([kron(np.eye(rc.M), overline(c)) for c in rc.code.C])
+
+
+def code_to_dict(code):
+    """A code as the JSON definition structure that the code-file loader reads."""
+    return {
+        "name": code.name,
+        "N": code.N,
+        "L": code.L,
+        "K": code.K,
+        "C": [[[[float(e.real), float(e.imag)] for e in row] for row in c]
+              for c in code.C],
+    }
 
 
 def gamma_sums(code, B):

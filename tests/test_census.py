@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from ostbc_blind import (CensusError, builtin_code, census_summary,
-                         channel_kernel_matrix, compute_bspace, compute_bstar,
-                         draw_channel, find_mstar, write_census_csv)
+                         compute_bspace, compute_bstar, draw_channel,
+                         find_mstar, unit_gammas, write_census_csv)
 from ostbc_blind import census
+from ostbc_blind.gamma import _channel_kernel_matrices
 from ostbc_blind.ostbc import ChannelRealization
 
 from oracles import (census_records_per_trial, exact_channel_dim,
@@ -133,7 +134,8 @@ def as_rows(dims, angles):
 
 
 def kernel_matrix_bytes(code, M):
-    return channel_kernel_matrix(code, np.ones((code.N, M))).nbytes
+    return _channel_kernel_matrices(unit_gammas(code),
+                                    np.ones((code.N, M))).nbytes
 
 
 class TestBatchedCensus:

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import ostbc_blind
-from ostbc_blind import code_to_dict, builtin_code
+from ostbc_blind import builtin_code
 from ostbc_blind import cli, estimator, kyfan
 from ostbc_blind.cli import main
+
+from oracles import code_to_dict
 
 
 class TestCodes:
@@ -524,6 +526,35 @@ class TestHostileInput:
         self.assert_one_error(["bstar", "--code-file", str(path)], capsys,
                               "matrix 1 is not numeric: entry (1, 0) is a "
                               "dict, not an [re, im] pair of numbers")
+
+    @pytest.mark.parametrize("code, value", [
+        ("scalar", 1.7), ("scalar", True), ("alamouti", 2.0),
+        ("alamouti", "2")], ids=["fraction", "bool", "float", "string"])
+    def test_header_that_is_no_integer(self, code, value, tmp_path, capsys):
+        # int() would read each as the code's own N and load the code
+        payload = code_to_dict(builtin_code(code))
+        payload["N"] = value
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps(payload))
+        for action in (["codes", "validate"], ["bstar"]):
+            self.assert_one_error(action + ["--code-file", str(path)], capsys,
+                                  f"malformed code definition: N must be a "
+                                  f"JSON integer, not a {type(value).__name__}")
+
+    def test_ragged_matrix(self, tmp_path, capsys):
+        payload = code_to_dict(builtin_code("alamouti"))
+        del payload["C"][2][1][1]
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(payload))
+        self.assert_one_error(["bstar", "--code-file", str(path)], capsys,
+                              "the rows of matrix 2 differ in length")
+
+    def test_definition_that_is_no_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([code_to_dict(builtin_code("alamouti"))]))
+        self.assert_one_error(["bstar", "--code-file", str(path)], capsys,
+                              "a code definition must be a JSON object, "
+                              "not a list")
 
     @pytest.mark.parametrize("samples", [2 ** 32 + 1, 10 ** 20])
     def test_kyfan_sample_count_beyond_an_hour(self, samples, monkeypatch,

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from ostbc_blind import (kernel, matrix_from_underline, overline, underline,
-                         unvec, vec)
+from ostbc_blind import overline, underline, vec
 from ostbc_blind.embed import _kernels
 from oracles import kron
+
+
+def kernel(m, rel_tol):
+    """Kernel basis and singular values of one matrix: a stack of one."""
+    _, bases, s = _kernels(m[None], rel_tol)
+    return bases[0], s[0]
 
 
 class TestVec:
@@ -14,10 +19,6 @@ class TestVec:
 
     def test_zero(self):
         np.testing.assert_array_equal(vec(np.zeros((2, 3))), np.zeros(6))
-
-    def test_round_trip(self, rng):
-        m = rng.standard_normal((3, 2))
-        np.testing.assert_array_equal(unvec(vec(m), 3, 2), m)
 
     def test_matrix_product_identity(self, rng):
         # vec(AB) = (B^T (x) I_m) vec(A)
@@ -59,7 +60,9 @@ class TestUnderline:
 
     def test_injective(self, rng):
         p = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        np.testing.assert_array_equal(matrix_from_underline(underline(p), 4, 3), p)
+        # Re above Im, then column-major
+        stacked = underline(p).reshape((8, 3), order="F")
+        np.testing.assert_array_equal(stacked[:4] + 1j * stacked[4:], p)
 
     def test_matrix_product_identity(self, rng):
         # underline(AB) = (I_p (x) overline(A)) underline(B)

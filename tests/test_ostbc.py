@@ -5,9 +5,9 @@ import pytest
 
 from ostbc_blind import (BUILTIN_CODE_NAMES, ChannelRealization,
                          CodeFormatError, CodeValidationError, OstbCode,
-                         build_A, builtin_code, code_to_dict, encode,
-                         load_code, realify, underline, validate_code)
-from oracles import build_A_dense, dense_phi
+                         build_A, builtin_code, encode, load_code, realify,
+                         underline, validate_code)
+from oracles import build_A_dense, code_to_dict, dense_phi
 
 
 class TestRegistry:
