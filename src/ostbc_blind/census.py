@@ -11,10 +11,10 @@ tolerance bug, not bad luck, so it fails the run.
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .estimator import _gaussian_channel
 from .gamma import unit_gammas
 from .subspace import _angles, _channel_bases, _orth_basis, compute_bstar
@@ -30,8 +30,7 @@ class CensusError(RuntimeError):
     """Observed dimensions or spans violate the deterministic structure."""
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(Record):
     """Census over M = 1..M_max with the critical antenna count.
 
     The per-trial results are two read-only (M_max, trials) arrays, 16 bytes
@@ -45,29 +44,36 @@ class CensusResult:
     d_mode: dict                # M -> the dimension every trial observed
     d_star: int
     M_star: object              # smallest matching M, or None if not found
-    dims: np.ndarray = field(repr=False)     # int: each trial's dimension
-    angles: np.ndarray = field(repr=False)   # max principal angle to B*, radians
+    dims: np.ndarray            # int: each trial's dimension
+    angles: np.ndarray          # max principal angle to B*, radians
+
+    _hidden = ("dims", "angles")
 
 
 def _chunk_trials(code, M):
     """Trials per stacked pass at M receive antennas, from CHUNK_BYTES."""
     matrix_bytes = 2 * code.L * code.K * M * code.K ** 2 * 8
-    # Each trial also makes Python objects (its generator and channel array,
-    # about 520 B) that the byte budget does not count; for tiny codes they
-    # would dominate a pass, so a pass takes at most 1024 trials.
+    # The budget does not count a trial's other arrays (its channel draw,
+    # singular values, basis and angle work: about 140 B for scalar, whose
+    # kernel matrix takes 16 B); for tiny codes they would dominate a pass,
+    # so a pass takes at most 1024 trials.
     return max(1, min(CHUNK_BYTES // matrix_bytes, 1024))
 
 
 def find_mstar(code, M_max, trials, seed, tol=1e-9):
     """Census M = 1..M_max and locate the critical antenna count.
 
-    Trial t at M draws its channel from the stream
-    ``np.random.default_rng([seed, M, t])``, so the results do not depend
-    on how the trials are grouped. The trials at one M run as stacked
-    passes of :func:`_chunk_trials` trials each: one SVD for the kernels
-    of the whole chunk and one for each principal-angle step, with the
-    checks and bits of :func:`compute_bspace` and
-    :func:`principal_angles` for every trial. The passes fill the
+    The channels at M come from one stream,
+    ``np.random.default_rng([seed, M])``: each pass draws its trials'
+    channels as one (chunk, 2, N, M) normal array, and trial t takes the
+    t-th 2NM normals of the stream whatever the chunk sizes, so the
+    results do not depend on how the trials are grouped. The trials at
+    one M run as stacked passes of :func:`_chunk_trials` trials each: one
+    SVD for the kernels of the whole chunk and one for each
+    principal-angle step, with the checks and bits of
+    :func:`compute_bspace` and :func:`principal_angles` for every trial,
+    as if trial t ran alone on the t-th channel that
+    :func:`draw_channel` draws from the stream. The passes fill the
     result's ``dims`` and ``angles`` arrays in place. A pass whose trials
     disagree on the dimension builds no bases and computes no angles:
     the check at the end of that M fails the run.
@@ -92,12 +98,11 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9):
     dims = np.empty((M_max, trials), dtype=int)
     angles = np.empty((M_max, trials))
     for M in m_range:
+        rng = np.random.default_rng([seed, M])
         chunk = _chunk_trials(code, M)
         for start in range(0, trials, chunk):
             stop = min(start + chunk, trials)
-            rngs = (np.random.default_rng([seed, M, t])
-                    for t in range(start, stop))
-            H0 = np.stack([_gaussian_channel(code.N, M, rng) for rng in rngs])
+            H0 = _gaussian_channel(code.N, M, rng, stop - start)
             dims[M - 1, start:stop], bases = _channel_bases(code, unit, H0, tol)
             if bases is not None:
                 angles[M - 1, start:stop] = _angles(bases, qstar).max(axis=-1)

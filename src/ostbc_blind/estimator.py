@@ -14,23 +14,23 @@ The estimate is reported unit-norm; the residual scalar factor is not
 resolved here, and all comparisons downstream are scale invariant.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._record import Record
 from .embed import _check_tol
 from .ostbc import ChannelRealization, build_A, realify
 from .subspace import compute_bspace, lift_to_channel, principal_angles
 
 
-@dataclass(frozen=True)
-class ConstellationModel:
+class ConstellationModel(Record):
     """Second-order description of the symbol source E[s s^T] = Sigma."""
 
     kind: str                  # "iid-uniform-pm1", "gaussian", "correlated"
-    Sigma: np.ndarray = field(repr=False)
-    U: np.ndarray = field(repr=False)        # orthogonal eigenvectors of Sigma
-    lambdas: np.ndarray = field(repr=False)  # positive eigenvalues of Sigma
+    Sigma: np.ndarray
+    U: np.ndarray              # orthogonal eigenvectors of Sigma
+    lambdas: np.ndarray        # positive eigenvalues of Sigma
+
+    _hidden = ("Sigma", "U", "lambdas")
 
     @classmethod
     def _from_sigma(cls, kind, sigma):
@@ -68,8 +68,7 @@ class ConstellationModel:
         return z @ root
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Record):
     """One reproducible link simulation: code, antennas, source, noise."""
 
     code: object
@@ -92,8 +91,7 @@ def _check_noise_variance(sigma2):
         raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(Record):
     """Output of the end-to-end blind estimation run."""
 
     h_hat: np.ndarray       # unit-norm channel estimate, (2MN,)
@@ -102,7 +100,9 @@ class EstimateReport:
     residual: float         # | A(h_hat) - A(h0/|h0|) B_hat |
     subspace_angle: float   # radians between h_hat and the lifted span
     eigen_gap: float        # relative gap below the top Rayleigh eigenvalue
-    blocks: np.ndarray = field(repr=False)   # received blocks, (J, 2ML)
+    blocks: np.ndarray      # received blocks, (J, 2ML)
+
+    _hidden = ("blocks",)
 
 
 def draw_channel(N, M, rng):
@@ -110,11 +110,18 @@ def draw_channel(N, M, rng):
     return ChannelRealization.from_matrix(_gaussian_channel(N, M, rng))
 
 
-def _gaussian_channel(N, M, rng):
-    """The complex (N, M) channel matrix that :func:`draw_channel` draws."""
+def _gaussian_channel(N, M, rng, count=None):
+    """The complex (N, M) channel matrix that :func:`draw_channel` draws,
+    or a (count, N, M) stack of ``count`` such draws, one after another.
+
+    Each draw takes its 2NM normals from ``rng`` as a (2, N, M) array, the
+    real parts first, so a stack of count draws holds the bits of count
+    single draws however the draws are split into stacks.
+    """
     if M < 1:
         raise ValueError(f"receive-antenna count must be >= 1, got {M}")
-    H0 = (rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M)))
+    g = rng.standard_normal((2, N, M) if count is None else (count, 2, N, M))
+    H0 = g[..., 0, :, :] + 1j * g[..., 1, :, :]
     H0 *= np.sqrt(0.5)
     return H0
 

@@ -9,17 +9,16 @@ the maximum, tests the maximizer characterization, and stress-tests the
 bound with random samples.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
+
+from ._record import Record
 
 
 class KyFanError(RuntimeError):
     """A sampled or constructed matrix violated the trace bound/structure."""
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
+class SpectrumSpec(Record):
     """Eigendecomposition of a symmetric matrix with boundary indices.
 
     ``q_minus`` counts eigenvalues strictly above the q-th one and
@@ -28,13 +27,15 @@ class SpectrumSpec:
     eigenvalue magnitude), so ``0 <= q_minus < q <= q_plus <= m``.
     """
 
-    P: np.ndarray = field(repr=False)
+    P: np.ndarray
     q: int
-    eigenvalues: np.ndarray = field(repr=False)   # descending
-    eigenvectors: np.ndarray = field(repr=False)  # columns match eigenvalues
+    eigenvalues: np.ndarray     # descending
+    eigenvectors: np.ndarray    # columns match eigenvalues
     q_minus: int
     q_plus: int
     degeneracy_tol: float
+
+    _hidden = ("P", "eigenvalues", "eigenvectors")
 
     @property
     def m(self):
@@ -90,14 +91,52 @@ def kyfan_membership(spec, Q, tol=1e-8):
     return bool(res_within <= tol)
 
 
+def _orthonormalize(x):
+    """Orthonormalize, in place, the columns of every sample of a stack.
+
+    ``x`` is a (q, m, n) stack: column c of sample i is ``x[c, :, i]``.
+    Every step is an elementwise operation over the n samples, contiguous
+    in memory, taken in a fixed order, so a sample's bits do not depend on
+    the other samples of the stack; a stacked LAPACK QR or a BLAS product
+    does not promise that. Classical Gram-Schmidt applied twice (Giraud,
+    Langou, Rozloznik & van den Eshof, Numer. Math. 2005) leaves the
+    columns orthonormal to machine precision: to rounding, they are the Q
+    factor of a QR with a positive diagonal of R.
+    """
+    for c, col in enumerate(x):
+        prev = x[:c]
+        for _ in range(2 if c else 0):
+            # sum() adds the m (or c) terms one at a time, elementwise
+            r = sum((prev * col).transpose(1, 0, 2))      # (c, n)
+            col -= sum(r[:, None] * prev)
+        col /= np.sqrt(sum(col * col))
+    return x
+
+
 def random_stiefel(rng, m, q, n=None):
-    """Orthonormalized Gaussian matrices: one (m, q) draw or a stack (n, m, q)."""
-    shape = (m, q) if n is None else (n, m, q)
-    g = rng.standard_normal(shape)
-    Q, r = np.linalg.qr(g)
-    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    d = np.where(d == 0, 1.0, d)
-    return Q * d[..., None, :]
+    """Orthonormalized Gaussian matrices: one (m, q) draw or a stack (n, m, q).
+
+    The stack is a view of a (q, m, n) array orthonormalized by
+    :func:`_orthonormalize`, so a draw's bits do not depend on the size
+    of the stack it comes in.
+    """
+    if not 1 <= q <= m:
+        raise ValueError(f"need 1 <= q <= m for orthonormal columns, "
+                         f"got m={m}, q={q}")
+    g = rng.standard_normal((1 if n is None else n, m, q))
+    stack = _orthonormalize(g.transpose(2, 1, 0).copy()).transpose(2, 1, 0)
+    return stack[0] if n is None else stack
+
+
+def _traces(x, P):
+    """tr{Q^T P Q} of every sample of a (q, m, n) stack, shape (n,).
+
+    Elementwise over the samples in a fixed order, as in
+    :func:`_orthonormalize`, so a trace's bits depend on its sample alone.
+    """
+    m = len(P)
+    Px = [sum(P[a, b] * x[:, b] for b in range(m)) for a in range(m)]
+    return sum(sum(x[:, a] * Px[a] for a in range(m)))
 
 
 def construct_maximizer(spec, rng=None, rotate=False):
@@ -124,8 +163,7 @@ def construct_maximizer(spec, rng=None, rotate=False):
     return Q
 
 
-@dataclass(frozen=True)
-class KyFanSampleReport:
+class KyFanSampleReport(Record):
     """Outcome of a randomized check of the trace bound."""
 
     m: int
@@ -155,7 +193,8 @@ def kyfan_sample_check(spec, samples, seed, near_tol=1e-9, membership_tol=1e-8):
     ``near_tol`` of the maximum passes the membership test. Violations raise
     :class:`KyFanError`; the returned report carries the summary. The
     draws come from one random stream in batches of :data:`SAMPLE_CHUNK`,
-    so the result does not depend on the batch size.
+    and each sample's matrix and trace depend on its own draws alone, so
+    the result has the same bits for any batch size.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
@@ -170,8 +209,7 @@ def kyfan_sample_check(spec, samples, seed, near_tol=1e-9, membership_tol=1e-8):
     for start in range(0, samples, SAMPLE_CHUNK):
         batch = random_stiefel(rng, spec.m, spec.q,
                                min(SAMPLE_CHUNK, samples - start))
-        traces = np.einsum("nac,ab,nbc->n", batch, spec.P, batch,
-                           optimize=True)
+        traces = _traces(batch.transpose(2, 1, 0), spec.P)
         max_trace = max(max_trace, float(np.max(traces)))
         if max_trace > bound:
             raise KyFanError(

@@ -13,10 +13,10 @@ X(s)^H X(s) = |s|^2 I_N for every real symbol vector s.
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .embed import _check_tol, overline, underline
 
 
@@ -33,8 +33,7 @@ class CodeFormatError(ValueError):
     """Raised when a code definition file cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Deviation report for the two orthogonality constraint families."""
 
     name: str
@@ -47,8 +46,7 @@ class ValidationReport:
         return self.max_unit_error <= self.tol and self.max_pair_error <= self.tol
 
 
-@dataclass(frozen=True)
-class OstbCode:
+class OstbCode(Record):
     """An orthogonal space-time block code over N antennas and L slots.
 
     ``C`` holds the K complex L x N coefficient matrices. Construction
@@ -60,7 +58,9 @@ class OstbCode:
     N: int
     L: int
     K: int
-    C: tuple = field(repr=False)
+    C: tuple
+
+    _hidden = ("C",)
 
     def __post_init__(self):
         if min(self.N, self.L, self.K) < 1:
@@ -154,8 +154,7 @@ def encode(code, s):
     return np.tensordot(s, np.stack(code.C), axes=(0, 0))
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
+class ChannelRealization(Record):
     """A channel matrix together with its real vector embedding."""
 
     M: int
@@ -176,8 +175,7 @@ class ChannelRealization:
         return cls(H0.shape[1], H0, h0)
 
 
-@dataclass(frozen=True)
-class RealifiedCode:
+class RealifiedCode(Record):
     """A code paired with a receive-antenna count, in real coordinates.
 
     ``blocks[k]`` is the real 2L x 2N matrix overline(C_k). The channel
@@ -193,7 +191,9 @@ class RealifiedCode:
 
     code: OstbCode
     M: int
-    blocks: np.ndarray = field(repr=False)   # (K, 2L, 2N), read-only
+    blocks: np.ndarray      # (K, 2L, 2N), read-only
+
+    _hidden = ("blocks",)
 
     @property
     def block_rows(self):
@@ -237,13 +237,18 @@ def build_A(rc, h):
 
 
 def _complex_entry(entry, where):
-    """The complex number of a code-file entry, an [re, im] pair of numbers."""
+    """The complex number of a code-file entry, an [re, im] pair of JSON
+    numbers (true, false, strings and null are not)."""
     if not (isinstance(entry, list) and len(entry) == 2):
         raise ValueError(f"entry {where} is a {type(entry).__name__}, "
                          f"not an [re, im] pair of numbers")
+    for part, value in zip(("re", "im"), entry):
+        if type(value) not in (int, float):     # bool is a subclass of int
+            raise ValueError(f"entry {where} is not an [re, im] pair of "
+                             f"numbers: its {part} is a {type(value).__name__}")
     try:
         return complex(float(entry[0]), float(entry[1]))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ValueError(f"entry {where} is not an [re, im] pair of numbers: "
                          f"{exc}") from exc
 
@@ -251,17 +256,21 @@ def _complex_entry(entry, where):
 def code_from_dict(payload):
     """Build a code from the JSON definition structure (shape checks only).
 
-    N, L and K must be JSON integers (true and false are not).
+    The name must be a JSON string, and N, L and K JSON integers (true and
+    false are not).
     """
     if not isinstance(payload, dict):
         raise CodeFormatError(f"a code definition must be a JSON object, "
                               f"not a {type(payload).__name__}")
     try:
-        name = str(payload["name"])
+        name = payload["name"]
         header = {key: payload[key] for key in ("N", "L", "K")}
         raw = payload["C"]
     except KeyError as exc:
         raise CodeFormatError(f"malformed code definition: {exc}") from exc
+    if not isinstance(name, str):
+        raise CodeFormatError(f"malformed code definition: name must be a "
+                              f"JSON string, not a {type(name).__name__}")
     for key, value in header.items():
         if type(value) is not int:      # bool is a subclass of int
             raise CodeFormatError(f"malformed code definition: {key} must be "

@@ -9,10 +9,9 @@ up to a positive constant, always contain the identity, and carry a
 basis {I} + Hurwitz-Radon family.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._record import Record
 from .embed import _check_tol, _kernels, vec
 from .gamma import _channel_kernel_matrices, unit_gammas
 from .ostbc import _apply_phi
@@ -38,8 +37,7 @@ def rho(n):
     return 2 ** c + 8 * d
 
 
-@dataclass(frozen=True)
-class AmbiguitySubspace:
+class AmbiguitySubspace(Record):
     """Orthonormal basis of an ambiguity space of K x K matrices.
 
     The basis is orthonormal under the Frobenius inner product, with the
@@ -52,9 +50,11 @@ class AmbiguitySubspace:
     kind: str                      # "invariant" or "channel"
     M: object                      # receive antennas for kind="channel", else None
     dim: int
-    basis: tuple = field(repr=False)   # K x K real matrices
+    basis: tuple                   # K x K real matrices
     tol: float
     seed: object = None            # seed the channel was drawn from, if any
+
+    _hidden = ("basis",)
 
     @property
     def identifiable(self):
@@ -211,8 +211,7 @@ def lift_to_channel(rc, h0, B):
     return per_antenna.sum(axis=0).reshape(rc.channel_len) / K
 
 
-@dataclass(frozen=True)
-class HurwitzRadonBasis:
+class HurwitzRadonBasis(Record):
     """Identity plus an anticommuting family of skew square roots of -I."""
 
     identity: np.ndarray

@@ -6,9 +6,10 @@ blocks, explicit Kronecker products for the dense channel operators and
 the channel lift, exact rational arithmetic (sympy) for kernel
 dimensions, per-column loops for the assembled operators, scipy for
 principal angles, a QR and an arcsine for the angle between a vector and
-a subspace, one batch of draws for the Ky Fan sample check and for the
-link noise, and one trial at a time for the census. It also holds the
-tests' writer of code-definition files.
+a subspace, a LAPACK QR for the orthonormal Stiefel samples, one batch of
+draws for the Ky Fan sample check and for the link noise, and one trial
+at a time for the census. It also holds the tests' writer of
+code-definition files.
 """
 
 import numpy as np
@@ -123,10 +124,25 @@ def simulate_oneshot(config):
 
 
 def kyfan_traces_oneshot(spec, samples, seed):
-    """Traces of all sampled Stiefel matrices drawn in one batch."""
+    """Traces of all sampled Stiefel matrices drawn in one batch, by einsum."""
     rng = np.random.default_rng(seed)
     batch = random_stiefel(rng, spec.m, spec.q, samples)
     return np.einsum("nac,ab,nbc->n", batch, spec.P, batch, optimize=True)
+
+
+def orthonormal_qr(a):
+    """The Q factors of a stack (..., m, q) with a positive diagonal of R,
+    by one stacked LAPACK QR."""
+    Q, r = np.linalg.qr(a)
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    d = np.where(d == 0, 1.0, d)
+    return Q * d[..., None, :]
+
+
+def random_stiefel_qr(rng, m, q, n=None):
+    """random_stiefel's draws, orthonormalized by a QR instead."""
+    return orthonormal_qr(rng.standard_normal((m, q) if n is None
+                                              else (n, m, q)))
 
 
 def unit_gammas_loop(code):
@@ -144,14 +160,14 @@ def unit_gammas_loop(code):
 
 def census_records_per_trial(code, M_max, trials, seed, tol=1e-9):
     """Census ``(dims, angles)``, each (M_max, trials), by compute_bspace
-    and principal_angles, one trial at a time, each channel from its own
-    (seed, M, trial) stream."""
+    and principal_angles, one trial at a time; the trials at M take one
+    draw_channel each, in turn, from the (seed, M) stream."""
     bstar = compute_bstar(code, tol)
     dims = np.empty((M_max, trials), dtype=int)
     angles = np.empty((M_max, trials))
     for M in range(1, M_max + 1):
+        rng = np.random.default_rng([seed, M])
         for trial in range(trials):
-            rng = np.random.default_rng([seed, M, trial])
             sub = compute_bspace(code, draw_channel(code.N, M, rng), tol)
             dims[M - 1, trial] = sub.dim
             angles[M - 1, trial] = np.max(principal_angles(sub.basis,

@@ -10,6 +10,7 @@ from ostbc_blind import (CensusError, builtin_code, census_summary,
                          compute_bspace, compute_bstar, draw_channel,
                          find_mstar, unit_gammas, write_census_csv)
 from ostbc_blind import census
+from ostbc_blind.estimator import _gaussian_channel
 from ostbc_blind.gamma import _channel_kernel_matrices
 from ostbc_blind.ostbc import ChannelRealization
 
@@ -146,6 +147,16 @@ class TestBatchedCensus:
         result = find_mstar(code, code.N + 1, 12, seed)
         oracle = census_records_per_trial(code, code.N + 1, 12, seed)
         assert as_rows(result.dims, result.angles) == as_rows(*oracle)
+
+    def test_channel_draws_independent_of_chunk_sizes(self):
+        whole = _gaussian_channel(2, 3, np.random.default_rng([8, 3]), 1000)
+        rng = np.random.default_rng([8, 3])
+        parts = [_gaussian_channel(2, 3, rng, n) for n in (3, 500, 497)]
+        assert np.array_equal(np.concatenate(parts), whole)
+        # trial t holds the t-th draw_channel of the stream
+        rng = np.random.default_rng([8, 3])
+        for H0 in whole[:4]:
+            assert np.array_equal(draw_channel(2, 3, rng).H0, H0)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundaries(self, code, monkeypatch, offset):

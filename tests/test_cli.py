@@ -229,6 +229,23 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_compiles_no_generated_code():
+    # A frozen dataclass compiles six generated methods when it is defined;
+    # the package's records compile nothing at import.
+    probe = ("import argparse, csv, json, sys\n"
+             "import numpy\n"
+             "names = []\n"
+             "def hook(event, args):\n"
+             "    if event == 'compile':\n"
+             "        names.append(args[1])\n"
+             "sys.addaudithook(hook)\n"
+             "import ostbc_blind.cli\n"
+             "print(names.count('<string>'))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=_python_env(),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
+
+
 def test_outputs_independent_of_blas_threads(tmp_path):
     runs = [
         ["bspace", "--code", "alamouti", "--rx", "64", "--seed", "3",
@@ -241,6 +258,9 @@ def test_outputs_independent_of_blas_threads(tmp_path):
          "--sigma2", "0.01", "--seed", "7", "--json", "estimate-rx64.json"],
         ["census", "--code", "alamouti-k2", "--rx-max", "2", "--trials", "5",
          "--seed", "11", "--csv", "census.csv", "--json", "census.json"],
+        # three batches of Stiefel draws
+        ["kyfan", "--m", "6", "--q", "3", "--seed", "2", "--samples",
+         "20000", "--json", "kyfan.json"],
     ]
     script = ("import sys; from ostbc_blind.cli import main; "
               f"sys.exit(max(main(argv) for argv in {runs!r}))")
@@ -254,7 +274,7 @@ def test_outputs_independent_of_blas_threads(tmp_path):
                              check=True, timeout=120)
         assert out.stderr == ""
         files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
-        assert len(files) == 6
+        assert len(files) == 7
         results.append((out.stdout, files))
     assert results[0] == results[1]
 
@@ -508,6 +528,31 @@ class TestHostileInput:
         path.write_text(json.dumps(payload))
         self.assert_one_error(["bstar", "--code-file", str(path)], capsys,
                               "matrix 0 is not numeric")
+
+    @pytest.mark.parametrize("part, value, kind", [
+        (0, "1", "re is a str"), (1, False, "im is a bool"),
+        (1, None, "im is a NoneType")], ids=["string", "false", "null"])
+    def test_entry_part_that_is_no_number(self, part, value, kind, tmp_path,
+                                          capsys):
+        # float() would read "1" and false as the entry's own 1.0 and 0.0
+        payload = code_to_dict(builtin_code("alamouti"))
+        payload["C"][0][0][0][part] = value
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(payload))
+        for action in (["codes", "validate"], ["bstar"]):
+            self.assert_one_error(action + ["--code-file", str(path)], capsys,
+                                  f"matrix 0 is not numeric: entry (0, 0) is "
+                                  f"not an [re, im] pair of numbers: its {kind}")
+
+    def test_name_that_is_no_string(self, tmp_path, capsys):
+        payload = code_to_dict(builtin_code("alamouti"))
+        payload["name"] = ["x"]
+        path = tmp_path / "name.json"
+        path.write_text(json.dumps(payload))
+        for action in (["codes", "validate"], ["bstar"]):
+            self.assert_one_error(action + ["--code-file", str(path)], capsys,
+                                  "malformed code definition: name must be a "
+                                  "JSON string, not a list")
 
     def test_header_beyond_any_index(self, tmp_path, capsys):
         text = json.dumps(code_to_dict(builtin_code("alamouti")))

@@ -6,7 +6,7 @@ from ostbc_blind import (ConstellationModel, KyFanError, SpectrumSpec, build_A,
                          kyfan_sample_check, kyfan_value, random_stiefel,
                          realify, theoretical_R)
 from ostbc_blind import kyfan
-from oracles import kyfan_traces_oneshot
+from oracles import kyfan_traces_oneshot, orthonormal_qr, random_stiefel_qr
 
 
 def spec_from_eigs(rng, eigs, q):
@@ -149,7 +149,12 @@ class TestChunkedSampling:
     @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3])
     def test_matches_one_shot_oracle(self, rng, monkeypatch, samples):
         spec = spec_from_eigs(rng, [3.0, 2.0, 2.0, 1.0, 0.5, -1.0], 3)
-        traces = kyfan_traces_oneshot(spec, samples, [9, 1])
+        batch = random_stiefel(np.random.default_rng([9, 1]), spec.m,
+                               spec.q, samples)
+        traces = kyfan._traces(batch.transpose(2, 1, 0), spec.P)
+        oracle = kyfan_traces_oneshot(spec, samples, [9, 1])
+        assert np.abs(traces - oracle).max() <= 1e-14 * np.linalg.norm(spec.P)
+        # bitwise: the batches of the check give the one-shot traces
         report = kyfan_sample_check(spec, samples, [9, 1])
         assert report.max_trace == float(np.max(traces))
         # A wide near band, with membership waved through, counts the
@@ -157,6 +162,20 @@ class TestChunkedSampling:
         monkeypatch.setattr(kyfan, "kyfan_membership", lambda *args: True)
         wide = kyfan_sample_check(spec, samples, [9, 1], near_tol=0.5)
         assert wide.n_near == int(np.sum(traces >= wide.value - 0.5)) > 0
+        assert wide.n_near == int(np.sum(oracle >= wide.value - 0.5))
+
+    def test_draw_bits_independent_of_stack_size(self, rng):
+        spec = spec_from_eigs(rng, [3.0, 2.0, 1.0, 0.5, 0.0, -1.0], 3)
+        whole = random_stiefel(np.random.default_rng(4), 6, 3, 1000)
+        split = np.random.default_rng(4)
+        parts = [random_stiefel(split, 6, 3, n) for n in (3, 1, 499, 497)]
+        assert np.array_equal(np.concatenate(parts), whole)
+        single = random_stiefel(np.random.default_rng(4), 6, 3)
+        assert np.array_equal(single, whole[0])
+        traces = kyfan._traces(whole.transpose(2, 1, 0), spec.P)
+        assert np.array_equal(np.concatenate(
+            [kyfan._traces(p.transpose(2, 1, 0), spec.P) for p in parts]),
+            traces)
 
     def test_error_names_global_sample_index(self, monkeypatch):
         # Square Q: every sample reaches the maximum, so each is checked.
@@ -182,6 +201,60 @@ class TestChunkedSampling:
         finally:
             tracemalloc.stop()
         assert peak < samples * spec.m * spec.q * 8 / 2
+
+
+def gram_schmidt(a):
+    """kyfan._orthonormalize on a copy of a stack (n, m, q)."""
+    return kyfan._orthonormalize(a.transpose(2, 1, 0).copy()).transpose(2, 1, 0)
+
+
+def orthonormality_error(Q):
+    return np.abs(Q.swapaxes(-1, -2) @ Q - np.eye(Q.shape[-1])).max()
+
+
+class TestStackedGramSchmidt:
+    """Classical Gram-Schmidt applied twice against a LAPACK QR."""
+
+    @pytest.mark.parametrize("m, q", [(6, 3), (4, 4), (9, 1), (2, 2)])
+    def test_agrees_with_qr_sampler(self, m, q):
+        Q = random_stiefel(np.random.default_rng(7), m, q, 5000)
+        R = random_stiefel_qr(np.random.default_rng(7), m, q, 5000)
+        assert Q.shape == (5000, m, q)
+        assert np.abs(Q - R).max() <= 1e-13
+        assert orthonormality_error(Q) <= 1e-14
+        one = random_stiefel(np.random.default_rng(8), m, q)
+        assert np.abs(one - random_stiefel_qr(np.random.default_rng(8), m, q)
+                      ).max() <= 1e-13
+
+    @pytest.mark.parametrize("kappa", [1e4, 1e8])
+    def test_graded_columns(self, rng, kappa):
+        # Columns scaled by 1 down to 1/kappa: condition numbers of kappa
+        # and above, with Q factors that stay well determined.
+        a = rng.standard_normal((2000, 6, 3)) * np.geomspace(1, 1 / kappa, 3)
+        assert np.linalg.cond(a).max() >= kappa
+        Q = gram_schmidt(a)
+        assert np.abs(Q - orthonormal_qr(a)).max() <= 1e-13
+        assert orthonormality_error(Q) <= 1e-14
+
+    @pytest.mark.parametrize("kappa", [1e4, 1e8])
+    def test_nearly_dependent_columns(self, rng, kappa):
+        # A = U diag(s) V^T with condition number kappa: the Q factor
+        # itself is determined only to about kappa * eps, so the two
+        # routes agree to that; both span A's columns to rounding.
+        u = orthonormal_qr(rng.standard_normal((2000, 6, 3)))
+        v = orthonormal_qr(rng.standard_normal((2000, 3, 3)))
+        a = (u * np.geomspace(1, 1 / kappa, 3)) @ v.swapaxes(-1, -2)
+        assert np.allclose(np.linalg.cond(a), kappa, rtol=1e-6)
+        Q = gram_schmidt(a)
+        assert orthonormality_error(Q) <= 1e-14
+        residual = a - Q @ (Q.swapaxes(-1, -2) @ a)
+        assert (np.linalg.norm(residual, axis=(1, 2))
+                <= 1e-14 * np.linalg.norm(a, axis=(1, 2))).all()
+        assert np.abs(Q - orthonormal_qr(a)).max() <= 1e-13 * kappa
+
+    def test_rejects_more_columns_than_rows(self, rng):
+        with pytest.raises(ValueError, match="q <= m"):
+            random_stiefel(rng, 2, 3)
 
 
 class TestEstimatorConnection:
