@@ -17,7 +17,8 @@ import numpy as np
 from ._record import Record
 from .estimator import _gaussian_channel
 from .gamma import unit_gammas
-from .subspace import _angles, _channel_bases, _orth_basis, compute_bstar
+from .subspace import (RANK_TOL, SPAN_ANGLE_TOL, _angles, _channel_bases,
+                       _orth_basis, compute_bstar)
 
 # Byte budget of the channel kernel matrices of one stacked pass. The
 # census runs the trials at one antenna count in chunks of as many trials
@@ -60,7 +61,7 @@ def _chunk_trials(code, M):
     return max(1, min(CHUNK_BYTES // matrix_bytes, 1024))
 
 
-def find_mstar(code, M_max, trials, seed, tol=1e-9):
+def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
     """Census M = 1..M_max and locate the critical antenna count.
 
     The channels at M come from one stream,
@@ -80,12 +81,13 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9):
 
     The critical count is the smallest M at which every trial's subspace
     equals the invariant space (same dimension and all principal angles
-    within 1e-8 rad). Raises :class:`CensusError` when the trials
-    at one M disagree on the dimension (the message gives the observed
-    histogram), or the dimension fails to be non-increasing, bounded below
-    by the invariant dimension and equal to it at every M >= N: whether
-    gamma(B) H = 0 depends on H only through its column space, almost
-    surely all of C^N once M >= N, so there B(H) is the invariant space.
+    within :data:`SPAN_ANGLE_TOL` = 1e-8 rad). Raises :class:`CensusError`
+    when the trials at one M disagree on the dimension (the message gives
+    the observed histogram), or the dimension fails to be non-increasing,
+    bounded below by the invariant dimension and equal to it at every
+    M >= N: whether gamma(B) H = 0 depends on H only through its column
+    space, almost surely all of C^N once M >= N, so there B(H) is the
+    invariant space.
     """
     if M_max < 1:
         raise ValueError(f"M_max must be >= 1, got {M_max}")
@@ -113,7 +115,7 @@ def find_mstar(code, M_max, trials, seed, tol=1e-9):
                 f"a single value; deterministic-dimension check failed")
     dims.flags.writeable = angles.flags.writeable = False
     d_mode = dict(zip(m_range, dims[:, 0].tolist()))
-    matches = (dims[:, 0] == bstar.dim) & (angles <= 1e-8).all(axis=1)
+    matches = (dims[:, 0] == bstar.dim) & (angles <= SPAN_ANGLE_TOL).all(axis=1)
     prev = None
     for M in m_range:
         if d_mode[M] < bstar.dim:

@@ -19,8 +19,9 @@ from .kyfan import (MAX_SAMPLES, KyFanError, SpectrumSpec,
 from .ostbc import (BUILTIN_CODE_NAMES, VALIDATION_TOL, CodeFormatError,
                     CodeValidationError, builtin_code, load_code,
                     validate_code)
-from .subspace import (AmbiguityStructureError, SubspaceError, compute_bspace,
-                       compute_bstar, hr_basis, subspace_report)
+from .subspace import (RANK_TOL, AmbiguityStructureError, SubspaceError,
+                       compute_bspace, compute_bstar, hr_basis,
+                       subspace_report)
 
 _ERRORS = (ValueError, KeyError, OSError, CodeFormatError, CodeValidationError,
            SubspaceError, AmbiguityStructureError, CensusError, KyFanError,
@@ -257,7 +258,7 @@ def build_parser():
 
     p = sub.add_parser("bstar", help="channel-independent ambiguity space")
     _add_code_args(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RANK_TOL)
     p.add_argument("--json", help="write the subspace report to this path")
     p.set_defaults(func=cmd_bstar)
 
@@ -265,7 +266,7 @@ def build_parser():
     _add_code_args(p)
     p.add_argument("--rx", type=int, required=True, help="receive antennas")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RANK_TOL)
     p.add_argument("--json", help="write the subspace report to this path")
     p.set_defaults(func=cmd_bspace)
 
@@ -274,7 +275,7 @@ def build_parser():
     p.add_argument("--rx-max", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RANK_TOL)
     p.add_argument("--csv", help="write per-trial rows to this path")
     p.add_argument("--json", help="write the summary to this path")
     p.set_defaults(func=cmd_census)
@@ -287,7 +288,7 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--constellation", choices=["iid-uniform-pm1", "gaussian"],
                    default="iid-uniform-pm1")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RANK_TOL)
     p.add_argument("--json", help="write the estimate report to this path")
     p.add_argument("--dump-blocks", help="write received blocks as CSV rows")
     p.set_defaults(func=cmd_estimate)

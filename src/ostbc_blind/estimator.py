@@ -19,7 +19,8 @@ import numpy as np
 from ._record import Record
 from .embed import _check_tol
 from .ostbc import ChannelRealization, build_A, realify
-from .subspace import compute_bspace, lift_to_channel, principal_angles
+from .subspace import (RANK_TOL, compute_bspace, lift_to_channel,
+                       principal_angles)
 
 
 class ConstellationModel(Record):
@@ -344,7 +345,7 @@ def ambiguity_matrix(rc, h0, h_hat):
     return B_hat, residual
 
 
-def run_estimate(config, tol=1e-9):
+def run_estimate(config, tol=RANK_TOL):
     """Full pipeline: simulate, estimate, decode, extract the ambiguity."""
     _check_tol(tol)
     blocks, truth, channel = simulate(config)

@@ -16,6 +16,9 @@ from .embed import _check_tol, _kernels, vec
 from .gamma import _channel_kernel_matrices, unit_gammas
 from .ostbc import _apply_phi
 
+RANK_TOL = 1e-9        # default tol: singular values below tol*sigma_max are 0
+SPAN_ANGLE_TOL = 1e-8  # radians: spans this close in every angle are equal
+
 
 class SubspaceError(RuntimeError):
     """A computed subspace violates a structural guarantee."""
@@ -75,42 +78,26 @@ def _fix_sign(b):
 
 
 def _identity_first(span, K, resid_tol, error):
-    """Identity-seeded Frobenius Gram-Schmidt of the columns of each span.
+    """Identity-first orthonormal bases by one Householder reflection.
 
-    ``span`` is a stack (T, K^2, dim); returns the (T, dim, K^2) stack of
-    orthonormal rows, vec(I)/sqrt(K) first. Every inner product is a
-    row-times-column matmul, which numpy hands to the same BLAS dot as
-    ``u @ w`` on two vectors, so a stack gives the bits of its slices
-    taken one at a time. A slice stops taking columns once it holds
-    ``dim`` rows.
+    ``span`` is a stack (T, K^2, dim) of orthonormal columns; returns the
+    (T, dim, K^2) stack of orthonormal rows, vec(I)/sqrt(K) first. With c
+    the coordinates of vec(I)/sqrt(K) in the columns and w proportional to
+    c + sign(c_1) e_1 (sign(0) = +1), I - 2ww^T maps c onto e_1, so rows
+    2..dim of (span (I - 2ww^T))^T span the rest of the span.
     """
-    T, n, dim = span.shape
     u0 = vec(np.eye(K)) / np.sqrt(K)
-    resid = np.linalg.norm(u0 - (span @ (u0 @ span)[..., None])[..., 0],
-                           axis=-1)
+    c = u0 @ span
+    resid = np.linalg.norm(u0 - (span @ c[..., None])[..., 0], axis=-1)
     bad = np.flatnonzero(resid > resid_tol)
     if bad.size:
         raise error(f"identity not in the subspace span "
                     f"(residual {resid[bad[0]]:.3e})")
-    taken = np.zeros((T, dim, n))
+    c[:, 0] += np.where(c[:, 0] < 0, -1.0, 1.0)
+    w = c / np.linalg.norm(c, axis=-1, keepdims=True)
+    rows = span.swapaxes(-1, -2)
+    taken = rows - 2 * w[..., None] * (w[:, None, :] @ rows)
     taken[:, 0] = u0
-    count = np.ones(T, dtype=int)
-    rows = np.arange(T)
-    for j in range(dim):
-        if (count == dim).all():
-            break
-        w = span[:, :, j].copy()
-        for _ in range(2):
-            for i in range(count.max()):
-                b = taken[:, i]
-                c = (b[:, None, :] @ w[:, :, None])[:, 0]
-                w = np.where((i < count)[:, None], w - c * b, w)
-        nrm = np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0, 0]
-        accept = (nrm > 1e-6) & (count < dim)
-        taken[rows[accept], count[accept]] = w[accept] / nrm[accept, None]
-        count += accept
-    if (count != dim).any():
-        raise error("orthonormalization lost subspace directions")
     return taken
 
 
@@ -121,9 +108,10 @@ def _channel_bases(code, unit, H0, tol):
     stacked SVD of the channel kernel matrices gives every kernel, and
     each channel's kernel dimension comes from its own singular values.
     Returns ``(dims, mats)``: the (T,) dimensions and the read-only
-    (T, dim, K, K) stack of Frobenius-orthonormal bases, the normalized
-    identity first and the others sign-fixed, or ``None`` when the
-    dimensions differ. Every element must leave a residual of at most
+    (T, dim, K, K) stack of Frobenius-orthonormal bases, or ``None`` when
+    the dimensions differ. Each basis is the SVD's kernel columns
+    reflected identity-first by :func:`_identity_first`, its other
+    elements sign-fixed. Every element must leave a residual of at most
     tol * max(sigma_max, 1) under its own channel's matrix; the first
     channel that breaks a check raises :class:`SubspaceError`. The
     identity channel H0 = I_N gives the invariant space B*, which equals
@@ -161,7 +149,7 @@ def _subspace(bases, code, tol, kind, M=None, seed=None):
                              seed=seed)
 
 
-def compute_bstar(code, tol=1e-9):
+def compute_bstar(code, tol=RANK_TOL):
     """Channel-independent ambiguity space B* of a code.
 
     Whether gamma(B) H = 0 depends on H only through the column space of
@@ -176,7 +164,7 @@ def compute_bstar(code, tol=1e-9):
     return _subspace(bases, code, tol, "invariant")
 
 
-def compute_bspace(code, channel, tol=1e-9, seed=None):
+def compute_bspace(code, channel, tol=RANK_TOL, seed=None):
     """Ambiguity space of a concrete channel realization.
 
     Kernel of B -> underline(gamma(B) @ H0). Always contains the
@@ -228,14 +216,19 @@ class HurwitzRadonBasis(Record):
 def hr_basis(sub):
     """Extract the {identity} + Hurwitz-Radon basis from an ambiguity space.
 
-    Gram-Schmidt within the span under the Frobenius inner product,
-    seeded with the identity; every later element is rescaled to an
-    orthogonal matrix. Raises :class:`AmbiguityStructureError` when a
-    rescaled element is not orthogonal-up-to-constant within 1e-8, which
-    signals a numerically corrupted subspace.
+    The basis, in any order, is orthonormalized (:func:`_orth`) and
+    reflected identity-first (:func:`_identity_first`); every later element
+    is rescaled to an orthogonal matrix. Raises
+    :class:`AmbiguityStructureError` when the basis is linearly dependent,
+    is more than 1e-8 off the identity, or has a rescaled element that is
+    not orthogonal-up-to-constant within 1e-8: a corrupted subspace.
     """
     K = sub.code.K
-    span = np.column_stack([vec(b) for b in sub.basis])
+    span = _orth_basis(sub.basis)
+    if span.shape[-1] != len(sub.basis):
+        raise AmbiguityStructureError(
+            f"basis elements are linearly dependent: {len(sub.basis)} span "
+            f"{span.shape[-1]} dimensions")
     [taken] = _identity_first(span[None], K, 1e-8, AmbiguityStructureError)
     family = []
     for w in taken[1:]:
@@ -324,16 +317,15 @@ def principal_angles(basis_a, basis_b):
 
 def spans_match(basis_a, basis_b):
     """True when both bases span the same space: equal lengths, and every
-    principal angle at most 1e-8 rad."""
+    principal angle at most :data:`SPAN_ANGLE_TOL` rad."""
     if len(basis_a) != len(basis_b):
         return False
-    return float(np.max(principal_angles(basis_a, basis_b))) <= 1e-8
+    return float(np.max(principal_angles(basis_a, basis_b))) <= SPAN_ANGLE_TOL
 
 
-def subspace_report(sub, hr=None):
-    """JSON-ready report for a computed ambiguity subspace."""
-    if hr is None:
-        hr = hr_basis(sub)
+def subspace_report(sub, hr):
+    """JSON-ready report for a computed ambiguity subspace and its
+    :func:`hr_basis`."""
     return {
         "code": sub.code.name,
         "kind": sub.kind,

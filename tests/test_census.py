@@ -238,6 +238,13 @@ class TestFindMstar:
         assert (result.dims == 4).all()
         assert (result.angles <= 1e-8).all()
 
+    @pytest.mark.parametrize("name", ["alamouti-k2", "real2"])
+    def test_angles_at_tight_tolerance(self, name):
+        # the identity-first basis keeps the rounding of the kernel's SVD
+        result = find_mstar(builtin_code(name), 4, 20000, seed=1, tol=1e-12)
+        assert result.M_star == 1
+        assert result.angles.max() <= 1e-13
+
     def test_deterministic(self, alamouti):
         a = find_mstar(alamouti, 2, 5, seed=6)
         b = find_mstar(alamouti, 2, 5, seed=6)

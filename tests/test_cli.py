@@ -122,6 +122,15 @@ class TestBspace:
         assert main(argv + ["--json", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("code, rx, seed", [
+        ("real2", "3", "2548"), ("alamouti", "4", "883")])
+    def test_tight_tolerance(self, code, rx, seed, capsys):
+        # channels whose identity-first basis once grew rounding errors
+        # above tol=1e-12 in the kernel-residual check
+        assert main(["bspace", "--code", code, "--rx", rx, "--seed", seed,
+                     "--tol", "1e-12"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestCensus:
     def test_outputs(self, tmp_path, capsys):
@@ -453,6 +462,12 @@ class TestHostileInput:
     ], ids=lambda argv: " ".join(argv[:3] + argv[-1:]))
     def test_tolerance_outside_unit_interval(self, argv, capsys):
         self.assert_one_error(argv, capsys, "tol must be finite and in (0, 1)")
+
+    def test_tolerance_that_empties_the_kernel(self, capsys):
+        # every singular value lies above 1e-300 * sigma_max: no kernel
+        self.assert_one_error(
+            ["bspace", "--code", "alamouti", "--rx", "2", "--seed", "1",
+             "--tol", "1e-300"], capsys, "identity not in the subspace span")
 
     def test_estimate_checks_tol_before_simulating(self, monkeypatch, capsys):
         def no_simulation(config):

@@ -254,6 +254,13 @@ class TestHurwitzRadon:
         span_b = [hr_b.identity] + list(hr_b.family)
         assert spans_match(span_a, span_b)
 
+    def test_dependent_basis_detected(self, alamouti):
+        half = np.eye(4) / 2
+        fake = AmbiguitySubspace(alamouti, "invariant", None, 2, (half, half),
+                                 1e-9)
+        with pytest.raises(AmbiguityStructureError, match="linearly dependent"):
+            hr_basis(fake)
+
     def test_corrupted_subspace_detected(self):
         code = builtin_code("real2")
         nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
