@@ -84,7 +84,9 @@ def _identity_first(span, K, resid_tol, error):
     (T, dim, K^2) stack of orthonormal rows, vec(I)/sqrt(K) first. With c
     the coordinates of vec(I)/sqrt(K) in the columns and w proportional to
     c + sign(c_1) e_1 (sign(0) = +1), I - 2ww^T maps c onto e_1, so rows
-    2..dim of (span (I - 2ww^T))^T span the rest of the span.
+    2..dim of (span (I - 2ww^T))^T span the rest of the span. Every step
+    is elementwise or a per-slice matmul, so a stack gives the bits of its
+    slices taken one at a time.
     """
     u0 = vec(np.eye(K)) / np.sqrt(K)
     c = u0 @ span
@@ -220,8 +222,9 @@ def hr_basis(sub):
     reflected identity-first (:func:`_identity_first`); every later element
     is rescaled to an orthogonal matrix. Raises
     :class:`AmbiguityStructureError` when the basis is linearly dependent,
-    is more than 1e-8 off the identity, or has a rescaled element that is
-    not orthogonal-up-to-constant within 1e-8: a corrupted subspace.
+    leaves the identity more than 1e-8 off its span, or has a rescaled
+    element that is not orthogonal-up-to-constant within 1e-8: a corrupted
+    subspace.
     """
     K = sub.code.K
     span = _orth_basis(sub.basis)
@@ -324,8 +327,7 @@ def spans_match(basis_a, basis_b):
 
 
 def subspace_report(sub, hr):
-    """JSON-ready report for a computed ambiguity subspace and its
-    :func:`hr_basis`."""
+    """JSON-ready report for an ambiguity subspace and its hr_basis."""
     return {
         "code": sub.code.name,
         "kind": sub.kind,
