@@ -10,10 +10,13 @@ tolerance bug, not bad luck, so it fails the run.
 """
 
 import csv
+import io
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
+from ._floattext import CHUNK_NUMBERS, float_text
 from ._record import Record
 from .estimator import _gaussian_channel
 from .gamma import unit_gammas
@@ -148,15 +151,26 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
 
 
 def write_census_csv(result, path):
-    """Per-trial rows: code, M, trial, dim, max principal angle (radians)."""
+    """Per-trial rows: code, M, trial, dim, max principal angle (radians).
+
+    The bytes are those of ``csv.writer``: rows end in ``\\r\\n``, the code
+    name is quoted as ``csv`` quotes it, and each angle is its ``repr``.
+    The rows are written :data:`CHUNK_NUMBERS` trials at a time, the
+    angles of a chunk formatted at once by :func:`float_text`.
+    """
+    name = io.StringIO()
+    csv.writer(name).writerow([result.code, ""])     # "<code>,\r\n"
+    code = name.getvalue()[:-3].replace("%", "%%")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["code", "M", "trial", "dim",
-                         "max_principal_angle_to_bstar"])
+        fh.write("code,M,trial,dim,max_principal_angle_to_bstar\r\n")
         for M, dims, angles in zip(result.M_range, result.dims, result.angles):
-            rows = enumerate(zip(dims.tolist(), angles.tolist()))
-            writer.writerows([result.code, M, t, dim, repr(angle)]
-                             for t, (dim, angle) in rows)
+            row = f"{code},{M},%d,%d,%s\r\n"
+            for start in range(0, len(dims), CHUNK_NUMBERS):
+                part = slice(start, start + CHUNK_NUMBERS)
+                texts = float_text(angles[part], ("\n",)).split("\n")
+                fh.write(row * len(texts) % tuple(chain.from_iterable(
+                    zip(range(start, start + len(texts)), dims[part].tolist(),
+                        texts))))
 
 
 def census_summary(result):

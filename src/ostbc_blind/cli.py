@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from ._floattext import CHUNK_NUMBERS, float_text
 from .census import CensusError, census_summary, find_mstar, write_census_csv
 from .estimator import (ConstellationModel, ConvergenceError,
                         SimulationConfig, draw_channel, run_estimate)
@@ -41,32 +42,32 @@ def _resolve_code(args, validate=True):
     return load_code(args.code_file, validate=validate)
 
 
-#: Numbers per formatted chunk of an array: the JSON and CSV writers hold
-#: the text and Python floats of one chunk at a time, whatever the length.
-CHUNK_NUMBERS = 4096
+def _format_rows(arr, seps):
+    """The ``repr`` of every number of ``arr`` in row-major order, number
+    i followed by ``seps[i % len(seps)]`` and the last by nothing, in
+    pieces.
 
-
-def _format_rows(arr, row, sep):
-    """``sep.join(row % tuple(r.ravel().tolist()) for r in arr)``, in pieces.
-
-    ``row`` is a %-template with one ``%r`` per number of ``arr[0]``; the
-    rows are formatted about :data:`CHUNK_NUMBERS` numbers at a time, and
-    ``%r`` of a Python float is its ``float.__repr__``.
+    ``len(seps)`` is the size of one row; the rows are formatted about
+    :data:`CHUNK_NUMBERS` numbers at a time by :func:`float_text`, which
+    works on the whole chunk at once.
     """
-    step = max(1, CHUNK_NUMBERS // arr[0].size)
+    step = max(1, CHUNK_NUMBERS // len(seps))
     for start in range(0, len(arr), step):
-        part = arr[start:start + step]
-        text = sep.join([row] * len(part)) % tuple(part.ravel().tolist())
-        yield sep + text if start else text
+        text = float_text(arr[start:start + step].reshape(-1), seps)
+        yield seps[-1] + text if start else text
 
 
-def _row_template(shape, level):
-    """The json.dumps(indent=2) text of one array item, ``%r`` per number."""
+def _row_layout(shape, level):
+    """The json.dumps(indent=2) text of one array item around its numbers:
+    the text before the first, the texts between consecutive ones, and the
+    text after the last."""
     if not shape:
-        return "%r"
+        return "", (), ""
     inner = "\n" + "  " * (level + 1)
-    item = _row_template(shape[1:], level + 1)
-    return f"[{inner}{(',' + inner).join([item] * shape[0])}\n{'  ' * level}]"
+    pre, seps, post = _row_layout(shape[1:], level + 1)
+    between = seps + (post + "," + inner + pre,)
+    return ("[" + inner + pre, (between * shape[0])[:-1],
+            post + "\n" + "  " * level + "]")
 
 
 def _is_finite_float_array(obj):
@@ -79,17 +80,17 @@ def _json_pieces(obj, level):
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces.
 
     A non-empty float64 array of finite numbers comes out a chunk of rows
-    at a time, through one ``%r`` template per chunk, which gives the text
-    of its ``tolist()``. Other arrays go through ``tolist()``; keys,
-    non-finite floats and other scalars through ``json.dumps``.
+    at a time through :func:`_format_rows`, which gives the text of its
+    ``tolist()``. Other arrays go through ``tolist()``; keys, non-finite
+    floats and other scalars through ``json.dumps``.
     Dictionary keys must be strings.
     """
     if _is_finite_float_array(obj):
         inner = "\n" + "  " * (level + 1)
-        yield "[" + inner
-        yield from _format_rows(obj, _row_template(obj.shape[1:], level + 1),
-                                "," + inner)
-        yield f"\n{'  ' * level}]"
+        pre, seps, post = _row_layout(obj.shape[1:], level + 1)
+        yield "[" + inner + pre
+        yield from _format_rows(obj, seps + (post + "," + inner + pre,))
+        yield f"{post}\n{'  ' * level}]"
     elif isinstance(obj, np.ndarray):
         yield from _json_pieces(obj.tolist(), level)
     elif isinstance(obj, dict):
@@ -206,8 +207,9 @@ def cmd_estimate(args):
         _write_json(payload, args.json)
     if args.dump_blocks:
         with open(args.dump_blocks, "w", encoding="utf-8") as fh:
-            row = ",".join(["%r"] * report.blocks.shape[1]) + "\n"
-            fh.writelines(_format_rows(report.blocks, row, ""))
+            seps = (",",) * (report.blocks.shape[1] - 1) + ("\n",)
+            fh.writelines(_format_rows(report.blocks, seps))
+            fh.write("\n")
     angle_deg = np.degrees(report.subspace_angle)
     print(f"code={code.name} M={args.rx} J={args.blocks} sigma2={args.sigma2:g} "
           f"seed={args.seed} residual={report.residual:.3e} "

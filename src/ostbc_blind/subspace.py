@@ -18,6 +18,12 @@ from .ostbc import _apply_phi
 
 RANK_TOL = 1e-9        # default tol: singular values below tol*sigma_max are 0
 SPAN_ANGLE_TOL = 1e-8  # radians: spans this close in every angle are equal
+# The kernel residual of a basis element is checked against at least
+# RESIDUAL_ROUNDING * n * eps * max(sigma_max, 1), n = K^2 the length of
+# the element: its own rounding, a gamma_n-style bound. Over 20000 trials
+# per M = 1..4 on alamouti, alamouti-k2 and real2 the largest residual
+# measured 7.8 * n * eps * max(sigma_max, 1), on real2 at M = 1.
+RESIDUAL_ROUNDING = 32
 
 
 class SubspaceError(RuntimeError):
@@ -114,8 +120,9 @@ def _channel_bases(code, unit, H0, tol):
     the dimensions differ. Each basis is the SVD's kernel columns
     reflected identity-first by :func:`_identity_first`, its other
     elements sign-fixed. Every element must leave a residual of at most
-    tol * max(sigma_max, 1) under its own channel's matrix; the first
-    channel that breaks a check raises :class:`SubspaceError`. The
+    max(tol, RESIDUAL_ROUNDING * K^2 * eps) * max(sigma_max, 1) under its
+    own channel's matrix, a bound never under the residual's own rounding;
+    the first channel that breaks a check raises :class:`SubspaceError`. The
     identity channel H0 = I_N gives the invariant space B*, which equals
     B(H) for every H whose columns span C^N.
     """
@@ -133,14 +140,15 @@ def _channel_bases(code, unit, H0, tol):
     taken = _identity_first(span, K, 1e-10, SubspaceError)
     mats = taken.reshape(len(dims), -1, K, K).swapaxes(-1, -2)
     _fix_sign(mats[:, 1:])
-    scale = tol * np.maximum(s[:, 0], 1.0)
+    rounding = RESIDUAL_ROUNDING * ops.shape[-1] * np.finfo(float).eps
+    bound = max(tol, rounding) * np.maximum(s[:, 0], 1.0)
     residual = np.linalg.norm(ops @ taken.swapaxes(-1, -2), axis=-2)
-    over = np.argwhere(residual > scale[:, None])
+    over = np.argwhere(residual > bound[:, None])
     if over.size:
         t, e = over[0]
         raise SubspaceError(
             f"basis element leaves kernel residual {residual[t, e]:.3e} "
-            f"above tol*scale {scale[t]:.3e}")
+            f"above its bound {bound[t]:.3e}")
     mats.flags.writeable = False
     return dims, mats
 

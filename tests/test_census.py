@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import tracemalloc
 from collections import Counter
@@ -304,6 +305,27 @@ class TestOutputs:
                   for M, trial, dim, angle_repr in as_rows(dims, angles)]
         assert path.read_bytes() == "".join(
             line + "\r\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "100%d", "", "x\ny"])
+    def test_csv_quotes_code_name_as_csv_writer(self, name, tmp_path,
+                                                alamouti, monkeypatch):
+        # two trials per formatted chunk, so the rows cross chunks
+        monkeypatch.setattr(census, "CHUNK_NUMBERS", 2)
+        result = find_mstar(alamouti, 2, 5, seed=7)
+        result = census.CensusResult(*(name if field == "code" else
+                                       getattr(result, field)
+                                       for field in result._fields))
+        path = tmp_path / "census.csv"
+        write_census_csv(result, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["code", "M", "trial", "dim",
+                         "max_principal_angle_to_bstar"])
+        for M, dims, angles in zip(result.M_range, result.dims,
+                                   result.angles):
+            writer.writerows([name, M, t, dim, repr(angle)] for t, (dim, angle)
+                             in enumerate(zip(dims.tolist(), angles.tolist())))
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_summary_json(self, alamouti):
         result = find_mstar(alamouti, 3, 5, seed=8)

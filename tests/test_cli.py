@@ -146,6 +146,13 @@ class TestCensus:
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 20
 
+    @pytest.mark.parametrize("code", ["alamouti", "alamouti-k2", "real2"])
+    def test_tolerance_below_residual_rounding(self, code, capsys):
+        # tol * sigma_max lies under the rounding of the kernel residual
+        assert main(["census", "--code", code, "--rx-max", "4", "--trials",
+                     "2000", "--seed", "1", "--tol", "1e-15"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_byte_identical_outputs(self, tmp_path):
         outs = []
         for tag in ("a", "b"):
