@@ -23,6 +23,12 @@ exact integer arithmetic:
 Ties between two nearest candidates and candidates exactly H away leave
 the choice to ``repr``, as do all numbers outside that range except
 zeros, which are laid out as ``0.0``.
+
+Each number's text is then laid out in a record of three 64-bit words,
+also by whole-array operations: the digits come from a table of 4-digit
+groups, and masks clear the unused digits and move the integer digits
+to make room for the point. The records and the separators form one
+byte grid, whose NUL bytes one ``bytes.translate`` drops.
 """
 
 import numpy as np
@@ -40,19 +46,36 @@ _POW10_LO = _POW10 - _POW10_HI              # Dekker halves of _POW10
 _DECADES = 10.0 ** np.arange(-4, 17)
 _LOG10_2 = 0.30102999566398120
 _MANTISSA = np.uint64((1 << 52) - 1)
-# the four ASCII digits of 0..9999, one little-endian uint32 each
+# the four ASCII digits of 0..9999 in the low bytes of a little-endian word
 _QUADS = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-          + ord("0")).astype(np.uint8).view("<u4").ravel()
-# the sign and the "0." and zeros before the first digit:
+          + ord("0")).astype(np.uint8).view("<u4").ravel().astype("<u8")
+
+
+def _record_masks(keep):
+    """A (3, n) uint64 table from an (n, 24) bool table: row w masks the
+    bytes kept in word w of a text record."""
+    return (keep.astype(np.uint8) * 0xFF).view("<u8").T.copy()
+
+
+# A number's text is a 24-byte record, three little-endian uint64 words:
+# its first digit is byte 7, digits 2..17 bytes 8..23, and the sign and
+# "0." or the point go in before them; NUL bytes are dropped at the end.
+_BYTES = np.arange(24)
+_Q = np.arange(17)[:, None]           # q = e10 + 1 integer digits, 0 if none
+# keep digits 1..L: _KEEP[w, L] (the first digit is always kept)
+_KEEP = _record_masks(_BYTES < 7 + np.arange(18)[:, None])
+# the point after digit q >= 1: digits 1..q move one byte down, from the
+# record shifted by a byte, and the point takes byte 6 + q
+_DOWN = _record_masks((_BYTES < 6 + _Q) & (_Q > 0))
+_STAY = _record_masks((_BYTES > 6 + _Q) | (_Q == 0))
+_POINT = (_record_masks((_BYTES == 6 + _Q) & (_Q > 0))
+          & np.uint64(int.from_bytes(b"." * 8, "little")))
+# the sign, and "0." and zeros for e10 < 0, in bytes 0..6:
 # _LEADS[5 * negative + 4 + min(e10, 0)]
 _LEADS = np.frombuffer(b"".join(
-    sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"").ljust(5, b"\0")
-    for sign in (b"\0", b"-") for e in range(-4, 1)), dtype=np.uint8)
-_LEADS = _LEADS.reshape(10, 6)
-# _KEEP[L]: a mask over the five uint32 words of _digit_words that keeps
-# the first L of the 17 digit bytes (bytes 3..19) and clears the rest
-_KEEP = (np.arange(20) < np.arange(3, 21)[:, None]).astype(np.uint8) * 0xFF
-_KEEP = _KEEP.view("<u4")
+    (sign + b"0." + b"0" * (-e - 1)).rjust(8, b"\0")[1:] + b"\0" if e < 0
+    else sign.ljust(8, b"\0") for sign in (b"\0", b"-")
+    for e in range(-4, 1)), dtype="<u8")
 
 
 def _shortest(x):
@@ -93,13 +116,13 @@ def _shortest(x):
     short, fits = near100 < half, near10 < half
     digits = np.where(short, 100 * (hund + up100),
                       np.where(fits, 10 * (tens + up10), whole + (frac > 0.5)))
-    # a tie, or a candidate exactly half an ulp away (or both digits of a
-    # 16-digit tie, when 15 digits or 17 win)
+    # ties and candidates exactly half an ulp away; this also takes the
+    # rare 16- or 17-digit tie that a length of the other kind makes moot
     inexact = ((near100 == half) | (near10 == half) | (rest == 5)
                | (frac == 0.5))
     count = 17 - fits
-    # a shorter decimal: 17 digits less the trailing zeros of its last
-    # 16 (hund + up100 < 1e15 + 1)
+    # fewer than 16 digits: those of hund + up100 (15 digits, or 1e15)
+    # less their trailing zeros
     pick = np.flatnonzero(short)
     rest = (hund + up100)[pick]
     zeros = np.zeros(len(pick), dtype=np.int64)
@@ -116,20 +139,20 @@ def _shortest(x):
     return digits, e10, count, inexact
 
 
-def _digit_words(digits):
-    """The 17 ASCII digits of each integer of [0, 1e17): bytes 3..19 of
-    five little-endian uint32 words per integer, an (n, 5) array."""
+def _digit_words(digits, keep):
+    """The text record words of integers of [0, 1e17) as 17 ASCII digits,
+    the digits after the first ``keep`` ones cleared: three uint64 arrays."""
     high = digits // 10 ** 8
-    low = (digits - high * 10 ** 8).astype(np.uint32)
-    high = high.astype(np.uint32)
+    low = digits - high * 10 ** 8
     top = high // 10 ** 8
     mid = high - top * 10 ** 8
-    words = np.empty((len(digits), 5), dtype="<u4")
-    np.left_shift(top + ord("0"), 24, out=words[:, 0])
-    for j, group in ((1, mid), (3, low)):
+    words = [(top + ord("0")).astype("<u8") << np.uint64(56)]
+    for group in (mid, low):
         head = group // 10000
-        np.take(_QUADS, head, out=words[:, j])
-        np.take(_QUADS, group - head * 10000, out=words[:, j + 1])
+        words.append(np.take(_QUADS, head)
+                     | np.take(_QUADS, group - head * 10000) << np.uint64(32))
+    words[1] &= np.take(_KEEP[1], keep)
+    words[2] &= np.take(_KEEP[2], keep)
     return words
 
 
@@ -148,47 +171,40 @@ def float_text(values, seps):
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e15) & (a.view(np.uint64) & _MANTISSA != 0)
     digits, e10, n, inexact = _shortest(np.where(fast, a, 1.0))
-    digits[a == 0] = 0            # the 1.0 put in its place reads "1.0"
-    words = _digit_words(digits)
-    lim = np.maximum(n, e10 + 2)              # n >= 1 >= e10 + 2 if e10 < 0
-    words &= np.take(_KEEP, lim, axis=0)
-    chars = words.view(np.uint8)[:, 3:]
-    fallback = np.flatnonzero((a != 0) & (~fast | inexact))
+    zero = a == 0
+    digits[zero] = 0              # the 1.0 put in its place reads "1.0"
+    fallback = np.flatnonzero(~zero & (~fast | inexact))
+    # the digits up to the last significant one, and up to the one after
+    # the point (e10 + 2 <= 1 <= n when e10 < 0)
+    words = _digit_words(digits, np.maximum(n, e10 + 2))
+    q = np.maximum(e10 + 1, 0)
+    top = int(q.max())
+    for w in range((6 + top) // 8 + 1 if top else 0):   # words up to a point
+        down = words[w] >> np.uint64(8)
+        if w < 2:
+            down |= words[w + 1] << np.uint64(56)
+        words[w] = ((down & np.take(_DOWN[w], q))
+                    | (words[w] & np.take(_STAY[w], q))
+                    | np.take(_POINT[w], q))
+    words[0] |= np.take(_LEADS, 5 * np.signbit(x) + 4 + np.minimum(e10, 0))
 
-    # Record of one number: sign, then "0." and up to three zeros if some
-    # e10 < 0, then the digits with a point column after digit i for each
-    # i = e10 + 1 >= 1 that occurs. Unused columns hold NUL, and the record
-    # of a number left to repr holds "%r", filled in by one % at the end.
-    lo, hi = int(e10.min()), int(e10.max())
-    width = int(lim.max())
-    zeros = max(0, -lo - 1)
-    pre = 3 + zeros if lo < 0 else 1
-    first = max(lo, 0) + 1
-    last = max(first - 1, min(hi + 1, width - 1))
-    points = last - first + 1
-    rec = pre + width + points
+    # one row per number: its record, then its separator; a number left to
+    # repr holds "%r" instead, filled in by one % at the end
     if fallback.size:
         seps = [s.replace("%", "%%") for s in seps]
     seps = [s.encode("ascii") for s in seps]
-    stride = rec + max(len(s) for s in seps)
+    stride = -(-(24 + max(map(len, seps))) // 8) * 8
     template = np.zeros((period, stride), dtype=np.uint8)
     for row, sep in zip(template, seps):
-        row[rec:rec + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
+        row[24:24 + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
     grid = np.empty((count, stride), dtype=np.uint8)
     grid.reshape(-1, period, stride)[:] = template
-    grid[-1, rec:] = 0
-    lead = 5 * np.signbit(x) + 4 + np.minimum(e10, 0)
-    grid[:, :pre] = np.take(_LEADS, lead, axis=0)[:, :pre]
-    mid = pre + first - 1                      # the column of digit `first`
-    end = mid + 2 * points
-    grid[:, pre:mid] = chars[:, :first - 1]
-    grid[:, mid:end:2] = chars[:, first - 1:last]
-    grid[:, mid + 1:end:2] = ((e10[:, None] == np.arange(first - 1, last))
-                              * ord("."))
-    grid[:, end:end + width - last] = chars[:, last:width]
-    if not fallback.size:
-        return grid.tobytes().translate(None, b"\0").decode("ascii")
-    grid[fallback, :rec] = 0
-    grid[fallback, :2] = np.frombuffer(b"%r", dtype=np.uint8)
+    grid[-1, 24:] = 0
+    cells = grid.view("<u8")
+    for w, word in enumerate(words):
+        cells[:, w] = word
+    if fallback.size:
+        grid[fallback, :24] = 0
+        grid[fallback, :2] = np.frombuffer(b"%r", dtype=np.uint8)
     text = grid.tobytes().translate(None, b"\0").decode("ascii")
-    return text % tuple(x[fallback].tolist())
+    return text % tuple(x[fallback].tolist()) if fallback.size else text
