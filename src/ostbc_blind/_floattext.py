@@ -47,8 +47,8 @@ _DECADES = 10.0 ** np.arange(-4, 17)
 _LOG10_2 = 0.30102999566398120
 _MANTISSA = np.uint64((1 << 52) - 1)
 # the four ASCII digits of 0..9999 in the low bytes of a little-endian word
-_QUADS = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-          + ord("0")).astype(np.uint8).view("<u4").ravel().astype("<u8")
+_QUADS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+                              + ord("0")).view("<u4").ravel().astype("<u8")
 
 
 def _record_masks(keep):
