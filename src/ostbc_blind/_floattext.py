@@ -9,11 +9,12 @@ ulp, with an even mantissa), and ``repr`` prints the nearest of the
 decimals with the fewest digits that read back. These are found by
 exact integer arithmetic:
 
-- X = |x| * 10^(16 - e10), e10 = floor(log10 |x|), lies in [1e16, 1e17)
-  and is formed exactly as h + l by Dekker's product, because 10^k is
-  an exact double for k <= 22 (Dekker, Numer. Math. 18, 1971). Half an
-  ulp of x in the same scale, H = 2^(e2 - 53) * 10^k, is an exact double
-  in (X * 2^-54, X * 2^-53], so 1.1 < H < 22.3.
+- X = |x| * 10^k, k = 16 - e10, e10 = floor(log10 |x|), lies in
+  [1e16, 1e17) and is formed exactly as h + l by Dekker's product,
+  because 10^k is an exact double for k <= 22 (Dekker, Numer. Math. 18,
+  1971). Half an ulp of x in the same scale, H = 2^(e2 - 53) * 10^k for
+  2^e2 <= |x| < 2^(e2 + 1), is an exact double in (X * 2^-54, X * 2^-53],
+  so 0.55 < H < 11.2.
 - 17 digits, the integer nearest X, always read back, since H > 1/2.
 - 16 digits read back if the nearest multiple of 10 lies within H.
 - Fewer digits read back if the nearest multiple of 100 lies within H:
@@ -35,7 +36,7 @@ import numpy as np
 
 #: Numbers per formatted chunk of an array: the JSON and CSV writers hold
 #: the text and the work arrays of one chunk at a time, whatever the length.
-CHUNK_NUMBERS = 4096
+CHUNK_NUMBERS = 8192
 
 _POW10 = 10.0 ** np.arange(23)              # exact doubles
 _SPLIT = 134217729.0                        # 2^27 + 1, Veltkamp's constant
@@ -78,14 +79,11 @@ _LEADS = np.frombuffer(b"".join(
     for e in range(-4, 1)), dtype="<u8")
 
 
-def _shortest(x):
-    """Shortest round-trip decimals of positive x in [1e-4, 1e15).
+def _scaled(x):
+    """X = x * 10^(16 - e10) of positive x in [1e-4, 1e15), exactly.
 
-    Returns ``(digits, e10, count, inexact)``: each decimal as an integer
-    of 17 digits scaled to [1e16, 1e17) (zeros after its last digit), the
-    exponent of its first digit, its digit count, and a mask of the
-    numbers whose decimal is a tie or on the rounding boundary, left to
-    ``repr``.
+    Returns ``(whole, frac, half, e10)``: X = whole + frac with frac in
+    [0, 1), half an ulp of x in the same scale, and e10 = floor(log10 x).
     """
     binexp = (x.view(np.uint64) >> np.uint64(52)).astype(np.int64) - 1023
     e10 = np.floor(binexp * _LOG10_2).astype(np.int64)
@@ -99,10 +97,22 @@ def _shortest(x):
     p_hi, p_lo = np.take(_POW10_HI, k), np.take(_POW10_LO, k)
     l = ((x_hi * p_hi - h) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
     floor = np.floor(l)
-    frac = l - floor                           # exact, in [0, 1)
     whole = h.astype(np.int64) + floor.astype(np.int64)
     # half an ulp of x in this scale, 2^(binexp - 53) * 10^k: exact
     half = ((binexp + (1023 - 53)) << 52).view(np.float64) * p
+    return whole, l - floor, half, e10         # l - floor: exact
+
+
+def _shortest(x):
+    """Shortest round-trip decimals of positive x in [1e-4, 1e15).
+
+    Returns ``(digits, e10, count, inexact)``: each decimal as an integer
+    of 17 digits scaled to [1e16, 1e17) (zeros after its last digit), the
+    exponent of its first digit, its digit count, and a mask of the
+    numbers whose decimal is a tie or on the rounding boundary, left to
+    ``repr``.
+    """
+    whole, frac, half, e10 = _scaled(x)
 
     # the nearest multiples of 100 and of 10, and their distances to X
     hund = whole // 100
