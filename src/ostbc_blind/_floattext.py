@@ -48,8 +48,9 @@ _DECADES = 10.0 ** np.arange(-4, 17)
 _LOG10_2 = 0.30102999566398120
 _MANTISSA = np.uint64((1 << 52) - 1)
 # the four ASCII digits of 0..9999 in the low bytes of a little-endian word
-_QUADS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
-                              + ord("0")).view("<u4").ravel().astype("<u8")
+_QUADS = np.ascontiguousarray(
+    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+).view("<u4").ravel().astype("<u8")
 
 
 def _record_masks(keep):
@@ -203,7 +204,7 @@ def float_text(values, seps):
     if fallback.size:
         seps = [s.replace("%", "%%") for s in seps]
     seps = [s.encode("ascii") for s in seps]
-    stride = -(-(24 + max(map(len, seps))) // 8) * 8
+    stride = -(-(24 + max(map(len, seps))) // 8) * 8     # whole words
     template = np.zeros((period, stride), dtype=np.uint8)
     for row, sep in zip(template, seps):
         row[24:24 + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
