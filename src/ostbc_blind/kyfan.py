@@ -177,9 +177,9 @@ class KyFanSampleReport(Record):
     passed: bool
 
 
-# Stiefel draws per batch of the sample check: bounds its memory at
-# SAMPLE_CHUNK * m * q floats whatever the sample count.
-SAMPLE_CHUNK = 8192
+# Matrix entries per batch of the sample check (8192 draws of a 6 x 3
+# check): bounds its memory whatever the sample count and matrix size.
+SAMPLE_ENTRIES = 8192 * 18
 # Largest sample count of the check, which bounds its time: 2**32 samples
 # of a 6 x 3 check take about an hour at a million samples per second.
 MAX_SAMPLES = 2 ** 32
@@ -192,9 +192,9 @@ def kyfan_sample_check(spec, samples, seed, near_tol=1e-9, membership_tol=1e-8):
     no trace exceeds value + 1e-12 |P|, and that every sample within
     ``near_tol`` of the maximum passes the membership test. Violations raise
     :class:`KyFanError`; the returned report carries the summary. The
-    draws come from one random stream in batches of :data:`SAMPLE_CHUNK`,
-    and each sample's matrix and trace depend on its own draws alone, so
-    the result has the same bits for any batch size.
+    draws come from one random stream in batches of :data:`SAMPLE_ENTRIES`
+    matrix entries, and each sample's matrix and trace depend on its own
+    draws alone, so the result has the same bits for any batch size.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
@@ -206,9 +206,10 @@ def kyfan_sample_check(spec, samples, seed, near_tol=1e-9, membership_tol=1e-8):
     bound = value + 1e-12 * np.linalg.norm(spec.P)
     max_trace = -np.inf
     n_near = 0
-    for start in range(0, samples, SAMPLE_CHUNK):
+    chunk = max(1, SAMPLE_ENTRIES // (spec.m * spec.q))
+    for start in range(0, samples, chunk):
         batch = random_stiefel(rng, spec.m, spec.q,
-                               min(SAMPLE_CHUNK, samples - start))
+                               min(chunk, samples - start))
         traces = _traces(batch.transpose(2, 1, 0), spec.P)
         max_trace = max(max_trace, float(np.max(traces)))
         if max_trace > bound:

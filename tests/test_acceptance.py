@@ -143,7 +143,7 @@ def test_criterion_07_estimator_theoretical_r():
                 cm = ConstellationModel.correlated(random_spd(rng, code.K))
                 sigma2 = float(rng.uniform(0.0, 0.5))
                 cov = theoretical_R(rc, ch.h0, cm, sigma2)
-                h_hat, _ = estimate_channel(rc, cov)
+                h_hat = estimate_channel(rc, cov)
                 b_hat, residual = ambiguity_matrix(rc, ch.h0, h_hat)
                 assert residual <= 1e-8
                 assert np.linalg.norm(b_hat.T @ b_hat - np.eye(code.K)) <= 1e-8

@@ -143,8 +143,13 @@ class TestSampleCheck:
             kyfan_sample_check(spec, 0, seed=0)
 
 
+def batch_size(m, q):
+    """Draws per batch of kyfan_sample_check on an m x q check."""
+    return max(1, kyfan.SAMPLE_ENTRIES // (m * q))
+
+
 class TestChunkedSampling:
-    CHUNK = kyfan.SAMPLE_CHUNK
+    CHUNK = batch_size(6, 3)
 
     @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3])
     def test_matches_one_shot_oracle(self, rng, monkeypatch, samples):
@@ -180,15 +185,16 @@ class TestChunkedSampling:
     def test_error_names_global_sample_index(self, monkeypatch):
         # Square Q: every sample reaches the maximum, so each is checked.
         spec = SpectrumSpec.from_matrix(np.diag([2.0, 1.0]), 2)
+        chunk = batch_size(2, 2)
         calls = []
 
         def fail_once(spec, Q, tol):
             calls.append(Q)
-            return len(calls) != self.CHUNK + 5
+            return len(calls) != chunk + 5
 
         monkeypatch.setattr(kyfan, "kyfan_membership", fail_once)
-        with pytest.raises(KyFanError, match=rf"sample {self.CHUNK + 4} "):
-            kyfan_sample_check(spec, 2 * self.CHUNK, 3)
+        with pytest.raises(KyFanError, match=rf"sample {chunk + 4} "):
+            kyfan_sample_check(spec, 2 * chunk, 3)
 
     def test_memory_bounded_by_chunk(self, rng):
         import tracemalloc
@@ -201,6 +207,21 @@ class TestChunkedSampling:
         finally:
             tracemalloc.stop()
         assert peak < samples * spec.m * spec.q * 8 / 2
+
+    def test_memory_bounded_for_large_matrices(self, rng):
+        # a batch of a fixed sample count would hold 2000 * 24 * 22 floats
+        # per array here, 25.7 MB at the peak; the entry budget holds 279
+        import tracemalloc
+        g = rng.standard_normal((24, 24))
+        spec = SpectrumSpec.from_matrix((g + g.T) / 2, 22)
+        tracemalloc.start()
+        try:
+            kyfan_sample_check(spec, 2000, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch_size(24, 22) < 2000 / 4
+        assert peak < 8 * kyfan.SAMPLE_ENTRIES * 8
 
 
 def gram_schmidt(a):
