@@ -209,8 +209,8 @@ class TestChunkedSampling:
         assert peak < samples * spec.m * spec.q * 8 / 2
 
     def test_memory_bounded_for_large_matrices(self, rng):
-        # a batch of a fixed sample count would hold 2000 * 24 * 22 floats
-        # per array here, 25.7 MB at the peak; the entry budget holds 279
+        # all 2000 draws in one batch peak near 26 MB; the entry budget
+        # holds 279 draws a batch
         import tracemalloc
         g = rng.standard_normal((24, 24))
         spec = SpectrumSpec.from_matrix((g + g.T) / 2, 22)
