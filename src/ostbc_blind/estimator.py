@@ -18,7 +18,7 @@ import numpy as np
 
 from ._record import Record
 from .embed import _check_tol
-from .ostbc import ChannelRealization, build_A, realify
+from .ostbc import ChannelRealization, _phi, _phi_t, build_A, realify
 from .subspace import (RANK_TOL, compute_bspace, lift_to_channel,
                        principal_angles)
 
@@ -175,18 +175,20 @@ def simulate(config):
     return blocks, truth, channel
 
 
-#: Numbers per row chunk of the in-place passes of :func:`simulate` and
-#: :func:`sample_R`: they hold one chunk beside their arrays.
+#: Numbers per row chunk of the in-place noise pass of :func:`simulate`,
+#: which holds one chunk beside its arrays. The name is shared with
+#: ``_floattext.CHUNK_NUMBERS`` (8192), the value is not.
 CHUNK_NUMBERS = 1 << 16
 
 
 def sample_R(blocks):
-    """Sample covariance (1/J) sum_i y_i y_i^T, a symmetrised (2ML, 2ML) array.
+    """Sample covariance R = (1/J) sum_i y_i y_i^T, a (2ML, 2ML) array.
 
-    Each entry is (R[a, b] + R[b, a]) / 2 of R = B^T B / J, formed in place
-    one row block of the upper triangle at a time.
+    The blocks are made C-contiguous first, so that B^T B is one
+    symmetric rank-k update that fills one triangle and mirrors it: R is
+    symmetric bit for bit.
     """
-    blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
+    blocks = np.ascontiguousarray(np.atleast_2d(blocks), dtype=float)
     J = blocks.shape[0]
     if J < 1 or blocks.size == 0:
         raise ValueError("at least one received block is required")
@@ -194,13 +196,6 @@ def sample_R(blocks):
         # an overflow leaves R non-finite, which estimate_channel rejects
         R = blocks.T @ blocks
         R /= J
-        step = max(1, CHUNK_NUMBERS // len(R))
-        for start in range(0, len(R), step):
-            # rows and columns from start on still hold B^T B / J
-            stop = start + step
-            upper = (R[start:stop, start:] + R[start:, start:stop].T) / 2
-            R[start:stop, start:] = upper
-            R[start:, start:stop] = upper.T
         return R
 
 
@@ -220,20 +215,14 @@ RITZ_TOL = 1e-10
 def _rayleigh_product(rc, R, V, exp=0):
     """2^exp Q V with Q = sum_k Phi_k^T R Phi_k, for a (2MN, p) block V.
 
-    The K blocks overline(C_k) are stacked as one (2L*K, 2N) array with
-    rows ordered (row of C_k, k). One product per receive antenna then
-    gives every Phi_k V at once, as the (2ML, K*p) array whose column
-    block k is Phi_k V; it is scaled by 2^exp, which is exact, and one
-    GEMM applies R to all of them; one product per antenna sums the K
-    terms Phi_k^T (R Phi_k V). No 2MN x 2MN array is formed, and the GEMM
-    costs (2ML)^2 K p.
+    X = Phi V (:func:`_phi`) holds every Phi_k V as one (2ML, K*p) array;
+    it is scaled in place by 2^exp, which is exact, one GEMM applies R to
+    all of it, and :func:`_phi_t` sums the K terms Phi_k^T (R Phi_k V). No
+    2MN x 2MN array is formed, and the GEMM costs (2ML)^2 K p.
     """
-    M, p = rc.M, V.shape[1]
-    cs = rc.blocks.transpose(1, 0, 2).reshape(-1, 2 * rc.code.N)
-    X = (cs @ V.reshape(M, -1, p)).reshape(rc.block_rows, -1)
+    X = _phi(rc, V)
     np.ldexp(X, exp, out=X)
-    Y = (R @ X).reshape(M, -1, p)
-    return (cs.T @ Y).reshape(rc.channel_len, p)
+    return _phi_t(rc, R @ X)
 
 
 def _fix_vector_sign(v):

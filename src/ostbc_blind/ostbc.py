@@ -178,20 +178,21 @@ class ChannelRealization(Record):
 class RealifiedCode(Record):
     """A code paired with a receive-antenna count, in real coordinates.
 
-    ``blocks[k]`` is the real 2L x 2N matrix overline(C_k). The channel
-    operator of the paper, Phi_k = I_M (x) overline(C_k), is never formed:
-    every receive antenna owns 2N consecutive entries of the channel
-    vector and 2L consecutive rows of a received block, and Phi_k applies
-    ``blocks[k]`` to each antenna alone. The storage therefore does not
-    grow with M. The blocks inherit the code's orthogonality, and so do
-    the Phi_k:
+    ``blocks[:, k]`` is the real 2L x 2N matrix overline(C_k); the
+    (2L, K, 2N) layout makes ``blocks.reshape(-1, 2N)`` the stack of all K
+    with rows ordered (row of C_k, k). The channel operator of the paper,
+    Phi_k = I_M (x) overline(C_k), is never formed: every receive antenna
+    owns 2N consecutive entries of the channel vector and 2L consecutive
+    rows of a received block, and :func:`_phi` and its adjoint, the only
+    products with Phi, apply the stack to each antenna alone. The storage
+    does not grow with M. The Phi_k inherit the code's orthogonality:
 
         Phi_k^T Phi_k = I_{2MN},  Phi_i^T Phi_j + Phi_j^T Phi_i = 0 (i != j)
     """
 
     code: OstbCode
     M: int
-    blocks: np.ndarray      # (K, 2L, 2N), read-only
+    blocks: np.ndarray      # (2L, K, 2N), read-only
 
     _hidden = ("blocks",)
 
@@ -210,30 +211,39 @@ def realify(code, M):
     """Pair a code with M receive antennas: the K blocks overline(C_k)."""
     if M < 1:
         raise ValueError(f"receive-antenna count must be >= 1, got {M}")
-    blocks = np.stack([overline(c) for c in code.C])
+    blocks = np.stack([overline(c) for c in code.C], axis=1)
     blocks.setflags(write=False)
     return RealifiedCode(code, M, blocks)
 
 
-def _apply_phi(rc, h):
-    """The K vectors Phi_k h as the rows of a C-ordered (K, 2ML) array."""
+def _phi(rc, V):
+    """Phi V for a (2MN, p) block V: the (2ML, K*p) array whose column
+    block k is Phi_k V, one product per receive antenna."""
+    p = V.shape[1]
+    stack = rc.blocks.reshape(-1, 2 * rc.code.N)
+    return (stack @ V.reshape(rc.M, -1, p)).reshape(rc.block_rows, -1)
+
+
+def _phi_t(rc, Y):
+    """The adjoint of :func:`_phi`: sum_k Phi_k^T Y_k, (2MN, p), for a
+    (2ML, K*p) array Y with column blocks Y_k."""
+    p = Y.shape[1] // rc.code.K
+    stack = rc.blocks.reshape(-1, 2 * rc.code.N)
+    return (stack.T @ Y.reshape(rc.M, -1, p)).reshape(rc.channel_len, p)
+
+
+def build_A(rc, h):
+    """Column-stack the K vectors Phi_k h into a 2ML x K matrix, Phi h.
+
+    For any h the result has orthogonal columns of squared norm |h|^2.
+    It is C-ordered, the layout the BLAS products downstream are pinned
+    to.
+    """
     h = np.asarray(h, dtype=float)
     if h.shape != (rc.channel_len,):
         raise ValueError(f"channel vector has shape {h.shape}, "
                          f"expected ({rc.channel_len},)")
-    per_antenna = h.reshape(rc.M, 2 * rc.code.N)
-    return (per_antenna @ rc.blocks.transpose(0, 2, 1)).reshape(
-        rc.code.K, rc.block_rows)
-
-
-def build_A(rc, h):
-    """Column-stack the K vectors Phi_k h into a 2ML x K matrix.
-
-    For any h the result has orthogonal columns of squared norm |h|^2.
-    It is returned C-ordered, the layout the BLAS products downstream are
-    pinned to.
-    """
-    return np.ascontiguousarray(_apply_phi(rc, h).T)
+    return _phi(rc, h[:, None])
 
 
 def _complex_entry(entry, where):

@@ -14,7 +14,7 @@ import numpy as np
 from ._record import Record
 from .embed import _check_tol, _kernels, vec
 from .gamma import _channel_kernel_matrices, unit_gammas
-from .ostbc import _apply_phi
+from .ostbc import _phi_t, build_A
 
 RANK_TOL = 1e-9        # default tol: singular values below tol*sigma_max are 0
 SPAN_ANGLE_TOL = 1e-8  # radians: spans this close in every angle are equal
@@ -194,19 +194,17 @@ def lift_to_channel(rc, h0, B):
 
     Computes Phi^T ((B^T (x) I) / K) Phi h0 with Phi the stack of the
     Phi_k = I_M (x) overline(C_k), forming neither Kronecker product: the
-    rows Phi_k h0 are mixed by B^T, and each mixed row goes back through
-    Phi_k^T one receive antenna at a time before the K terms are summed.
-    For B in the ambiguity space of h0 the lifted vector h satisfies
-    A(h) = A(h0) B; restricted to that space the map is an isometry up to
-    the factor |h0|/sqrt(K).
+    columns Phi_k h0 of A(h0) (:func:`build_A`) are mixed by B, and
+    :func:`_phi_t` takes the mixed columns back through the Phi_k^T and
+    sums them. For B in the ambiguity space of h0 the lifted vector h
+    satisfies A(h) = A(h0) B; restricted to that space the map is an
+    isometry up to the factor |h0|/sqrt(K).
     """
     K = rc.code.K
     B = np.asarray(B, dtype=float)
     if B.shape != (K, K):
         raise ValueError(f"B has shape {B.shape}, expected ({K}, {K})")
-    mixed = B.T @ _apply_phi(rc, h0)                    # (K, 2ML)
-    per_antenna = mixed.reshape(K, rc.M, 2 * rc.code.L) @ rc.blocks
-    return per_antenna.sum(axis=0).reshape(rc.channel_len) / K
+    return _phi_t(rc, build_A(rc, h0) @ B)[:, 0] / K
 
 
 class HurwitzRadonBasis(Record):
@@ -304,7 +302,8 @@ def _angles(bases, qb):
     else:
         resid = qa - qb @ cross.swapaxes(-1, -2)
     mu = np.arcsin(np.clip(np.linalg.svd(resid, compute_uv=False), -1.0, 1.0))
-    return np.where(sigma ** 2 >= 0.5, mu,
+    # sigma holds cosines in ascending angle order, mu angles in descending
+    return np.where(sigma[..., ::-1] ** 2 >= 0.5, mu,
                     np.arccos(np.clip(sigma[..., ::-1], -1.0, 1.0)))
 
 

@@ -4,19 +4,20 @@ These deliberately take different computational routes than the package:
 the defining double sum and the factored product form for the ambiguity
 blocks, explicit Kronecker products for the dense channel operators and
 the channel lift, exact rational arithmetic (sympy) for kernel
-dimensions, per-column loops for the assembled operators, scipy for
-principal angles, a QR and an arcsine for the angle between a vector and
-a subspace, a LAPACK QR for the orthonormal Stiefel samples, one batch of
-draws for the Ky Fan sample check and for the link noise, and one trial
-at a time for the census. It also holds the tests' writer of
-code-definition files.
+dimensions, per-column loops for the assembled operators, 50-digit
+arithmetic (mpmath) for principal angles, a QR and an arcsine for the
+angle between a vector and a subspace, a LAPACK QR for the orthonormal
+Stiefel samples, one batch of draws for the Ky Fan sample check and for
+the link noise, and one trial at a time for the census. It also holds the
+tests' writer of code-definition files and a code with irrational
+entries.
 """
 
 import numpy as np
 
-from ostbc_blind import (build_A, compute_bspace, compute_bstar,
-                         draw_channel, lift_to_channel, overline,
-                         principal_angles, random_stiefel, realify)
+from ostbc_blind import (OstbCode, build_A, builtin_code, compute_bspace,
+                         compute_bstar, draw_channel, lift_to_channel,
+                         overline, principal_angles, random_stiefel, realify)
 
 
 def kron(a, b):
@@ -27,6 +28,16 @@ def kron(a, b):
 def dense_phi(rc):
     """The K dense operators Phi_k = I_M (x) overline(C_k), (K, 2ML, 2MN)."""
     return np.stack([kron(np.eye(rc.M), overline(c)) for c in rc.code.C])
+
+
+def rotated_alamouti(K):
+    """The first K Alamouti matrices times the unitary W = [[1, i], [i, 1]]
+    / sqrt(2): still an orthogonal code, with the ambiguity space of the
+    unrotated one, but with entries outside {0, +-1, +-i}, so products with
+    its blocks round."""
+    w = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2)
+    mats = builtin_code("alamouti").C[:K]
+    return OstbCode(f"alamouti-k{K}-rotated", 2, 2, K, tuple(c @ w for c in mats))
 
 
 def code_to_dict(code):
@@ -175,13 +186,27 @@ def census_records_per_trial(code, M_max, trials, seed, tol=1e-9):
     return dims, angles
 
 
-def scipy_principal_angles(basis_a, basis_b):
-    """Principal angles between the spans of two matrix bases, by scipy."""
-    from scipy.linalg import subspace_angles
+def mp_principal_angles(basis_a, basis_b, dps=50):
+    """Principal angles between the spans of two matrix bases, in
+    ``dps``-digit mpmath arithmetic: a QR of each basis, the SVD of
+    Qa^T Qb, then arccosines. A basis element that depends on the ones
+    before it leaves a diagonal entry of R at rounding level, and its Q
+    column is dropped; the dependent elements must come last."""
+    import mpmath
 
-    qa = np.column_stack([np.ravel(b, order="F") for b in basis_a])
-    qb = np.column_stack([np.ravel(b, order="F") for b in basis_b])
-    return subspace_angles(qa, qb)
+    def orth(basis):
+        cols = np.column_stack([np.ravel(b, order="F") for b in basis])
+        q, r = mpmath.qr(mpmath.matrix(cols.tolist()), mode="skinny")
+        diag = [abs(r[j, j]) for j in range(r.cols)]
+        keep = [j for j, d in enumerate(diag) if d > mpmath.mpf(10) ** (10 - dps)
+                * max(diag)]
+        return mpmath.matrix([[q[i, j] for j in keep] for i in range(q.rows)])
+
+    with mpmath.workdps(dps):
+        qa, qb = orth(basis_a), orth(basis_b)
+        sigma = mpmath.svd_r(qa.T * qb, compute_uv=False)
+        angles = [float(mpmath.acos(min(s, 1))) for s in sigma]
+    return np.sort(angles)[::-1]
 
 
 def _sympy_code(code):

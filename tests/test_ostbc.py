@@ -7,6 +7,7 @@ from ostbc_blind import (BUILTIN_CODE_NAMES, ChannelRealization,
                          CodeFormatError, CodeValidationError, OstbCode,
                          build_A, builtin_code, encode, load_code, realify,
                          underline, validate_code)
+from ostbc_blind.ostbc import _phi, _phi_t
 from oracles import build_A_dense, code_to_dict, dense_phi
 
 
@@ -136,6 +137,34 @@ class TestRealify:
         rc = realify(alamouti, 3)
         with pytest.raises(ValueError):
             rc.blocks[0, 0, 0] = 2.0
+
+
+class TestPhi:
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("p", [1, 5])
+    def test_adjoint_identity(self, any_code, rng, M, p):
+        # <Y, Phi V> = <Phi^T Y, V>
+        rc = realify(any_code, M)
+        V = rng.standard_normal((rc.channel_len, p))
+        Y = rng.standard_normal((rc.block_rows, any_code.K * p))
+        X = _phi(rc, V)
+        lhs = np.sum(Y * X)
+        rhs = np.sum(_phi_t(rc, Y) * V)
+        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(Y) * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("p", [1, 5])
+    def test_matches_dense_oracle(self, any_code, rng, M, p):
+        rc = realify(any_code, M)
+        phi = dense_phi(rc)
+        V = rng.standard_normal((rc.channel_len, p))
+        Y = rng.standard_normal((rc.block_rows, any_code.K * p))
+        np.testing.assert_allclose(_phi(rc, V), np.hstack([f @ V for f in phi]),
+                                   rtol=0, atol=1e-14 * np.linalg.norm(V))
+        blocks = np.split(Y, any_code.K, axis=1)
+        np.testing.assert_allclose(
+            _phi_t(rc, Y), sum(f.T @ y for f, y in zip(phi, blocks)),
+            rtol=0, atol=1e-14 * np.linalg.norm(Y))
 
 
 class TestBuildA:

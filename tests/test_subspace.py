@@ -7,7 +7,7 @@ from ostbc_blind import (AmbiguityStructureError, AmbiguitySubspace,
                          lift_to_channel, principal_angles, realify, rho,
                          spans_match, vec)
 
-from oracles import lift_kron, scipy_principal_angles
+from oracles import lift_kron, mp_principal_angles
 
 EXPECTED_BSTAR_DIM = {
     "alamouti": 4,
@@ -165,7 +165,8 @@ class TestLiftToChannel:
         np.testing.assert_allclose(lift_to_channel(rc, ch.h0, np.eye(code.K)),
                                    ch.h0, rtol=0, atol=1e-12)
 
-    def test_matches_kronecker_oracle(self, code, rng):
+    def test_matches_kronecker_oracle(self, any_code, rng):
+        code = any_code
         rc = realify(code, 2)
         ch = draw_channel(code.N, 2, rng)
         for _ in range(5):
@@ -291,9 +292,23 @@ class TestPrincipalAngles:
         sub = compute_bstar(alamouti)
         assert not spans_match(sub.basis, sub.basis[:2])
 
+    @pytest.mark.parametrize("angles", [(1e-9, 0.3, 1.4), (1e-10, 1.5)])
+    def test_known_angles(self, angles):
+        # small angles beside one above pi/4 keep their arcsine
+        n = len(angles)
+        eye = np.eye(2 * n)
+        basis_a = [eye[:, [i]] for i in range(n)]
+        basis_b = [np.cos(t) * eye[:, [i]] + np.sin(t) * eye[:, [n + i]]
+                   for i, t in enumerate(angles)]
+        np.testing.assert_allclose(principal_angles(basis_a, basis_b),
+                                   sorted(angles, reverse=True),
+                                   rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("ka, kb", [(3, 3), (2, 5), (5, 2)])
     @pytest.mark.parametrize("regime", ["random", "near-zero", "near-right"])
     def test_matches_scipy_reference(self, rng, ka, kb, regime):
+        # The reference is mpmath at 50 digits: scipy.linalg.subspace_angles
+        # picks arcsine or arccosine per angle from mismatched orders.
         q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
         a = q[:, :ka] @ rng.standard_normal((ka, ka))
         b = {"random": rng.standard_normal((9, kb)),
@@ -311,7 +326,7 @@ class TestPrincipalAngles:
             if regime == "near-right":
                 assert np.min(angles) >= np.pi / 2 - 1e-8
             np.testing.assert_allclose(
-                angles, scipy_principal_angles(basis_a, basis_b),
+                angles, mp_principal_angles(basis_a, basis_b),
                 rtol=0, atol=1e-14)
 
 
