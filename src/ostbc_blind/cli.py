@@ -2,7 +2,8 @@
 
 All randomness flows from the --seed flag of each subcommand; identical
 command lines produce byte-identical JSON and CSV outputs. JSON is the
-machine-readable format, the printed text is informal.
+machine-readable format, one compact line per report; the printed text
+is informal.
 """
 
 import argparse
@@ -57,17 +58,15 @@ def _format_rows(arr, seps):
         yield seps[-1] + text if start else text
 
 
-def _row_layout(shape, level):
-    """The json.dumps(indent=2) text of one array item around its numbers:
-    the text before the first, the texts between consecutive ones, and the
-    text after the last."""
+def _row_layout(shape):
+    """The compact json.dumps text of one array item of ``shape`` around
+    its numbers: the text before the first, the texts between consecutive
+    ones, and the text after the last."""
     if not shape:
         return "", (), ""
-    inner = "\n" + "  " * (level + 1)
-    pre, seps, post = _row_layout(shape[1:], level + 1)
-    between = seps + (post + "," + inner + pre,)
-    return ("[" + inner + pre, (between * shape[0])[:-1],
-            post + "\n" + "  " * level + "]")
+    pre, seps, post = _row_layout(shape[1:])
+    between = seps + (post + "," + pre,)
+    return "[" + pre, (between * shape[0])[:-1], post + "]"
 
 
 def _is_finite_float_array(obj):
@@ -76,51 +75,35 @@ def _is_finite_float_array(obj):
             and obj.size > 0 and np.isfinite([obj.min(), obj.max()]).all())
 
 
-def _json_pieces(obj, level):
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces.
+def _json_pieces(obj):
+    """The text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+    with arrays as their ``tolist()``, in pieces.
 
     A non-empty float64 array of finite numbers comes out a chunk of rows
-    at a time through :func:`_format_rows`, which gives the text of its
-    ``tolist()``. Other arrays go through ``tolist()``; keys, non-finite
-    floats and other scalars through ``json.dumps``.
+    at a time through :func:`_format_rows`; a non-empty dictionary key by
+    key, in sorted order. Everything else is one ``json.dumps`` call.
     Dictionary keys must be strings.
     """
     if _is_finite_float_array(obj):
-        inner = "\n" + "  " * (level + 1)
-        pre, seps, post = _row_layout(obj.shape[1:], level + 1)
-        yield "[" + inner + pre
-        yield from _format_rows(obj, seps + (post + "," + inner + pre,))
-        yield f"{post}\n{'  ' * level}]"
-    elif isinstance(obj, np.ndarray):
-        yield from _json_pieces(obj.tolist(), level)
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
+        pre, seps, post = _row_layout(obj.shape[1:])
+        yield "[" + pre
+        yield from _format_rows(obj, seps + (post + "," + pre,))
+        yield post + "]"
+    elif isinstance(obj, dict) and obj:
         sep = "{"
         for key in sorted(obj):
-            yield f"{sep}\n{'  ' * (level + 1)}{json.dumps(key)}: "
-            yield from _json_pieces(obj[key], level + 1)
+            yield f"{sep}{json.dumps(key)}:"
+            yield from _json_pieces(obj[key])
             sep = ","
-        yield f"\n{'  ' * level}}}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        inner = "\n" + "  " * (level + 1)
-        sep = "["
-        for item in obj:
-            yield sep + inner
-            yield from _json_pieces(item, level + 1)
-            sep = ","
-        yield f"\n{'  ' * level}]"
+        yield "}"
     else:
-        yield json.dumps(obj)
+        yield json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                         default=np.ndarray.tolist)
 
 
 def _write_json(payload, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_pieces(payload, 0))
+        fh.writelines(_json_pieces(payload))
         fh.write("\n")
 
 

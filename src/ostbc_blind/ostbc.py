@@ -316,7 +316,8 @@ def load_code(path, validate=True):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested past the parser's depth
             raise CodeFormatError(f"cannot parse {path}: {exc}") from exc
     code = code_from_dict(payload)
     if validate:

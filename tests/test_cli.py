@@ -306,7 +306,7 @@ class TestJsonWriter:
 
     @staticmethod
     def reference(payload):
-        return json.dumps(payload, indent=2, sort_keys=True,
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                           default=np.ndarray.tolist) + "\n"
 
     @pytest.mark.parametrize("argv", [
@@ -320,6 +320,9 @@ class TestJsonWriter:
         # s_hat of shape (J, 1), one row past a chunk
         ["estimate", "--code", "scalar", "--rx", "3", "--blocks",
          str(cli.CHUNK_NUMBERS + 1), "--sigma2", "0.01", "--seed", "3"],
+        # two chunks of s_hat, with a symbol below 1e-4 that repr formats
+        ["estimate", "--code", "alamouti", "--rx", "2", "--blocks", "3000",
+         "--sigma2", "0.01", "--seed", "5", "--constellation", "gaussian"],
     ])
     def test_every_subcommand_payload(self, argv, tmp_path, monkeypatch):
         payloads = []
@@ -333,6 +336,8 @@ class TestJsonWriter:
         path = tmp_path / "out.json"
         assert main(argv + ["--json", str(path)]) == 0
         assert len(payloads) == 1
+        if "gaussian" in argv:
+            assert np.abs(payloads[0]["s_hat"]).min() < 1e-4
         assert_same_text(path.read_text(), self.reference(payloads[0]))
 
     @pytest.mark.parametrize("payload", [
@@ -342,6 +347,8 @@ class TestJsonWriter:
         {"flags": [True, False], "ints": [1, -2, 3], "mix": [1, 2.5, None]},
         {"z": {"b": 1, "a": {"y": [2.0], "x": "text"}}, "a": [[], {}]},
         [], {}, [{"b": 1.0, "a": 2}], 0.1, float("nan"), None, True, 7, "s",
+        {"tuple": (1, 2.5, "x"), "text": "ångström \u2713 \"q\"\n",
+         "counts": {"2": {"b": 3, "a": -4}, "1": 0, "10": {}}},
     ])
     def test_edge_cases(self, payload, tmp_path):
         path = tmp_path / "out.json"
@@ -622,6 +629,20 @@ class TestHostileInput:
         self.assert_one_error(["bstar", "--code-file", str(path)], capsys,
                               "a code definition must be a JSON object, "
                               "not a list")
+
+    @pytest.mark.parametrize("header", [False, True],
+                             ids=["bare", "inside-C"])
+    def test_nesting_beyond_the_parser_depth(self, header, tmp_path, capsys):
+        text = "[" * 100000 + "]" * 100000
+        if header:
+            text = ('{"name": "deep", "N": 2, "L": 2, "K": 1, "C": '
+                    + text + "}")
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        for action in (["codes", "validate"], ["bstar"]):
+            self.assert_one_error(action + ["--code-file", str(path)], capsys,
+                                  f"cannot parse {path}: maximum recursion "
+                                  f"depth exceeded")
 
     @pytest.mark.parametrize("samples", [2 ** 32 + 1, 10 ** 20])
     def test_kyfan_sample_count_beyond_an_hour(self, samples, monkeypatch,
