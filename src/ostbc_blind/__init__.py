@@ -1,7 +1,6 @@
 """Ambiguity subspaces and blind channel estimation for OSTB codes."""
 
-from .census import (CensusError, CensusResult, census_summary, find_mstar,
-                     write_census_csv)
+from .census import CensusError, CensusResult, find_mstar, write_census_csv
 from .embed import overline, underline, vec
 from .estimator import (ConstellationModel, ConvergenceError, EstimateReport,
                         SimulationConfig, ambiguity_matrix, decode,
@@ -18,6 +17,6 @@ from .ostbc import (BUILTIN_CODE_NAMES, ChannelRealization, CodeFormatError,
 from .subspace import (AmbiguityStructureError, AmbiguitySubspace,
                        HurwitzRadonBasis, SubspaceError, compute_bspace,
                        compute_bstar, hr_basis, lift_to_channel,
-                       principal_angles, rho, spans_match, subspace_report)
+                       principal_angles, rho, spans_match)
 
 __version__ = "0.1.0"

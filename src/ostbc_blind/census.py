@@ -172,15 +172,3 @@ def write_census_csv(result, path):
                     zip(range(start, start + len(texts)), dims[part].tolist(),
                         texts))))
 
-
-def census_summary(result):
-    """JSON-ready summary with the per-M modal dimensions."""
-    return {
-        "code": result.code,
-        "trials": result.trials,
-        "seed": result.seed,
-        "tol": result.tol,
-        "d_star": result.d_star,
-        "M_star": result.M_star,
-        "d_mode": {str(M): result.d_mode[M] for M in result.M_range},
-    }

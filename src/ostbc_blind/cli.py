@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from ._floattext import CHUNK_NUMBERS, float_text
-from .census import CensusError, census_summary, find_mstar, write_census_csv
+from .census import CensusError, find_mstar, write_census_csv
 from .estimator import (ConstellationModel, ConvergenceError,
                         SimulationConfig, draw_channel, run_estimate)
 from .kyfan import (MAX_SAMPLES, KyFanError, SpectrumSpec,
@@ -22,8 +22,7 @@ from .ostbc import (BUILTIN_CODE_NAMES, VALIDATION_TOL, CodeFormatError,
                     CodeValidationError, builtin_code, load_code,
                     validate_code)
 from .subspace import (RANK_TOL, AmbiguityStructureError, SubspaceError,
-                       compute_bspace, compute_bstar, hr_basis,
-                       subspace_report)
+                       compute_bspace, compute_bstar, hr_basis)
 
 _ERRORS = (ValueError, KeyError, OSError, CodeFormatError, CodeValidationError,
            SubspaceError, AmbiguityStructureError, CensusError, KyFanError,
@@ -105,6 +104,37 @@ def _write_json(payload, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_json_pieces(payload))
         fh.write("\n")
+
+
+def subspace_report(sub, hr):
+    """JSON-ready report for an ambiguity subspace and its hr_basis."""
+    return {
+        "code": sub.code.name,
+        "kind": sub.kind,
+        "M": sub.M,
+        "seed": sub.seed,
+        "dim": sub.dim,
+        "tol": sub.tol,
+        "basis": [b.ravel(order="C").tolist() for b in sub.basis],
+        "hr": {
+            "family_size": hr.family_size,
+            "max_skew_residual": hr.max_skew_residual,
+            "max_anticommute_residual": hr.max_anticommute_residual,
+        },
+    }
+
+
+def census_summary(result):
+    """JSON-ready summary of a census with the per-M modal dimensions."""
+    return {
+        "code": result.code,
+        "trials": result.trials,
+        "seed": result.seed,
+        "tol": result.tol,
+        "d_star": result.d_star,
+        "M_star": result.M_star,
+        "d_mode": {str(M): result.d_mode[M] for M in result.M_range},
+    }
 
 
 def cmd_codes(args):

@@ -10,20 +10,24 @@ import numpy as np
 
 
 def vec(m):
-    """Stack the columns of a matrix into one vector (column-major)."""
-    return np.asarray(m).ravel(order="F")
+    """Stack the columns of a matrix into one vector (column-major).
+
+    A stack of matrices, shape (..., p, q), gives the stack of their
+    vectors, shape (..., p*q).
+    """
+    m = np.asarray(m)
+    return m.swapaxes(-1, -2).reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1])
 
 
 def underline(p):
     """Map a complex m x n matrix to a real vector of length 2mn.
 
     The real and imaginary parts are stacked row-blockwise (Re above Im)
-    and the resulting 2m x n matrix is vectorized column-major.
+    and the resulting 2m x n matrix is vectorized column-major. A stack,
+    shape (..., m, n), gives the stack of its vectors, shape (..., 2mn).
     """
     p = np.asarray(p, dtype=complex)
-    if p.ndim != 2:
-        p = np.atleast_2d(p)
-    return vec(np.vstack([p.real, p.imag]))
+    return vec(np.concatenate([p.real, p.imag], axis=-2))
 
 
 def overline(a):
@@ -35,8 +39,6 @@ def overline(a):
     which represents multiplication by ``a`` on underlined vectors.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        a = np.atleast_2d(a)
     return np.block([[a.real, -a.imag], [a.imag, a.real]])
 
 

@@ -16,6 +16,8 @@ B* = B(I_N) = B(H) for every H whose columns span C^N.
 
 import numpy as np
 
+from .embed import underline
+
 
 def unit_gammas(code):
     """Ambiguity blocks of all K^2 unit matrices, in vec(B) column order.
@@ -39,16 +41,12 @@ def unit_gammas(code):
 def _channel_kernel_matrices(unit, H0):
     """Matrix of the map B -> underline(gamma(B) @ H0), acting on vec(B).
 
-    ``unit`` is the code's :func:`unit_gammas`. Shape (2*L*K*M, K^2); its
-    kernel, reshaped to K x K matrices, is the ambiguity space of the
-    channel realization H0. A stack of channel matrices, shape (T, N, M),
-    gives the stack of their matrices, shape (T, 2*L*K*M, K^2), with the
-    bits of one matrix at a time.
+    ``unit`` is the code's :func:`unit_gammas`. Column p is
+    underline(unit[p] @ H0), the image of the p-th unit matrix in vec(B)
+    order, so the shape is (2*L*K*M, K^2); its kernel, reshaped to K x K
+    matrices, is the ambiguity space of the channel realization H0. A
+    stack of channel matrices, shape (T, N, M), gives the stack of their
+    matrices, shape (T, 2*L*K*M, K^2), with the bits of one matrix at a
+    time.
     """
-    H0 = np.asarray(H0, dtype=complex)
-    KK, LK, _ = unit.shape
-    M = H0.shape[-1]
-    prods = unit @ H0[..., None, :, :]          # (..., K^2, LK, M)
-    # Column p is underline(prods[p]): Re above Im, then column-major.
-    re_im = np.concatenate([prods.real, prods.imag], axis=-2)
-    return re_im.swapaxes(-1, -3).reshape(*H0.shape[:-2], 2 * LK * M, KK)
+    return underline(unit @ H0[..., None, :, :]).swapaxes(-1, -2)

@@ -265,12 +265,6 @@ def hr_basis(sub):
                              float(anti))
 
 
-def _columns(bases):
-    """Stack (T, dim, p, q) of matrix bases -> (T, p*q, dim) of their vecs."""
-    b = np.asarray(bases, dtype=float)
-    return b.swapaxes(-1, -2).reshape(*b.shape[:-2], -1).swapaxes(-1, -2)
-
-
 def _orth(a):
     """Orthonormal bases of the column spaces of a stack (T, n, k).
 
@@ -294,7 +288,7 @@ def _angles(bases, qb):
     per step for the whole stack; returns the (T, min(dim, kb)) angles,
     each row as :func:`principal_angles` orders it.
     """
-    qa = _orth(_columns(bases))
+    qa = _orth(vec(bases).swapaxes(-1, -2))
     cross = qa.swapaxes(-1, -2) @ qb
     sigma = np.linalg.svd(cross, compute_uv=False)
     if qa.shape[-1] >= qb.shape[-1]:
@@ -309,7 +303,7 @@ def _angles(bases, qb):
 
 def _orth_basis(basis):
     """Orthonormal (n, k) basis of the span of one sequence of matrices."""
-    return _orth(_columns([basis]))[0]
+    return _orth(vec([basis]).swapaxes(-1, -2))[0]
 
 
 def principal_angles(basis_a, basis_b):
@@ -332,20 +326,3 @@ def spans_match(basis_a, basis_b):
         return False
     return float(np.max(principal_angles(basis_a, basis_b))) <= SPAN_ANGLE_TOL
 
-
-def subspace_report(sub, hr):
-    """JSON-ready report for an ambiguity subspace and its hr_basis."""
-    return {
-        "code": sub.code.name,
-        "kind": sub.kind,
-        "M": sub.M,
-        "seed": sub.seed,
-        "dim": sub.dim,
-        "tol": sub.tol,
-        "basis": [b.ravel(order="C").tolist() for b in sub.basis],
-        "hr": {
-            "family_size": hr.family_size,
-            "max_skew_residual": hr.max_skew_residual,
-            "max_anticommute_residual": hr.max_anticommute_residual,
-        },
-    }

@@ -9,8 +9,9 @@ arithmetic (mpmath) for principal angles, a QR and an arcsine for the
 angle between a vector and a subspace, a LAPACK QR for the orthonormal
 Stiefel samples, one batch of draws for the Ky Fan sample check and for
 the link noise, and one trial at a time for the census. It also holds the
-tests' writer of code-definition files and a code with irrational
-entries.
+tests' writer of code-definition files, a code with irrational entries
+and a code whose channel space reaches the invariant space only at two
+receive antennas.
 """
 
 import numpy as np
@@ -38,6 +39,23 @@ def rotated_alamouti(K):
     w = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2)
     mats = builtin_code("alamouti").C[:K]
     return OstbCode(f"alamouti-k{K}-rotated", 2, 2, K, tuple(c @ w for c in mats))
+
+
+def real4x3():
+    """The first three columns of the real 4 x 4 orthogonal design
+    (Tarokh, Jafarkhani and Calderbank, IEEE T-IT 1999).
+
+    X(s) has rows [s1, s2, s3, s4], [-s2, s1, -s4, s3], [-s3, s4, s1, -s2]
+    and [-s4, -s3, s2, s1], and C_k = X(e_k)[:, :3]: N = 3, L = 4, K = 4.
+    Its invariant space is trivial, but the channel space of one receive
+    antenna is 2-dimensional, so the critical antenna count is M* = 2.
+    """
+    def design(s1, s2, s3, s4):
+        return np.array([[s1, s2, s3, s4], [-s2, s1, -s4, s3],
+                         [-s3, s4, s1, -s2], [-s4, -s3, s2, s1]])
+
+    return OstbCode("real4x3", 3, 4, 4,
+                    tuple(design(*e)[:, :3] for e in np.eye(4)))
 
 
 def code_to_dict(code):

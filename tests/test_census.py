@@ -7,16 +7,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ostbc_blind import (CensusError, builtin_code, census_summary,
-                         compute_bspace, compute_bstar, draw_channel,
-                         find_mstar, unit_gammas, write_census_csv)
+from ostbc_blind import (CensusError, builtin_code, compute_bspace,
+                         compute_bstar, draw_channel, find_mstar, unit_gammas,
+                         write_census_csv)
 from ostbc_blind import census
+from ostbc_blind.cli import census_summary
 from ostbc_blind.estimator import _gaussian_channel
 from ostbc_blind.gamma import _channel_kernel_matrices
 from ostbc_blind.ostbc import ChannelRealization
 
 from oracles import (census_records_per_trial, exact_channel_dim,
-                     exact_invariant_dim)
+                     exact_invariant_dim, real4x3)
 
 # Dimensions fixed by the exact rational-arithmetic oracle (see oracles.py):
 # for every builtin code the channel space already equals the invariant
@@ -125,6 +126,67 @@ class TestDimensionCensus:
                            match=r"^scalar M=1: dimension 2 is not the "
                                  r"invariant dimension 1 although M >= N=1$"):
             find_mstar(builtin_code("scalar"), 2, 5, seed=0)
+
+
+def grown(dims, bases):
+    """One dimension more: the last basis element repeated."""
+    return dims + 1, np.concatenate([bases, bases[:, -1:]], axis=1)
+
+
+def patch_at(monkeypatch, change, antennas):
+    """Route census._channel_bases through ``change`` at the given M."""
+    original = census._channel_bases
+
+    def patched(code, unit, H0, tol):
+        dims, bases = original(code, unit, H0, tol)
+        if H0.shape[-1] in antennas:
+            return change(dims, bases)
+        return dims, bases
+
+    monkeypatch.setattr(census, "_channel_bases", patched)
+
+
+class TestTheoryChecks:
+    """Each structural check of find_mstar fails the run on its own."""
+
+    def test_dimension_below_invariant_raises(self, alamouti, monkeypatch):
+        patch_at(monkeypatch, lambda d, b: (d - 1, b[:, :-1]), (2,))
+        with pytest.raises(CensusError,
+                           match=r"^alamouti M=2: dimension 3 fell below the "
+                                 r"invariant dimension 4$"):
+            find_mstar(alamouti, 2, 5, seed=0)
+
+    def test_dimension_increase_raises(self, monkeypatch):
+        patch_at(monkeypatch, grown, (2,))
+        with pytest.raises(CensusError,
+                           match=r"^alamouti-k2: modal dimension increased "
+                                 r"from 2 to 3 at M=2$"):
+            find_mstar(builtin_code("alamouti-k2"), 2, 5, seed=0)
+
+    def test_stall_above_invariant_raises(self, monkeypatch):
+        # the 4x3 design's dimension 2 at M = 1 held at M = 2
+        patch_at(monkeypatch, grown, (2,))
+        with pytest.raises(CensusError,
+                           match=r"^real4x3: modal dimension stalled at 2 above "
+                                 r"the invariant dimension 1 between M=1 and "
+                                 r"M=2$"):
+            find_mstar(real4x3(), 2, 5, seed=0)
+
+    def test_mismatch_past_mstar_raises(self, alamouti, monkeypatch):
+        original = census._angles
+        calls = []
+
+        def off_at_second_pass(bases, qstar):
+            calls.append(len(bases))
+            angles = original(bases, qstar)
+            return angles + 1.0 if len(calls) == 2 else angles
+
+        monkeypatch.setattr(census, "_angles", off_at_second_pass)
+        with pytest.raises(CensusError,
+                           match=r"^alamouti M=2: subspace no longer matches "
+                                 r"the invariant space past M_star=1$"):
+            find_mstar(alamouti, 2, 5, seed=0)
+        assert calls == [5, 5]
 
 
 def as_rows(dims, angles):

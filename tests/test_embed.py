@@ -28,6 +28,12 @@ class TestVec:
         rhs = kron(b.T, np.eye(3)) @ vec(a)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
+    def test_stack_is_the_stack_of_vecs(self, rng):
+        m = rng.standard_normal((3, 2, 4, 5))
+        np.testing.assert_array_equal(
+            vec(m), [[m[i, j].ravel(order="F") for j in range(2)]
+                     for i in range(3)])
+
 
 class TestUnderline:
     def test_scalar(self):
@@ -57,6 +63,12 @@ class TestUnderline:
             lhs = underline(a) @ underline(b)
             rhs = 0.5 * np.trace(a.conj().T @ b + b.conj().T @ a).real
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+    def test_stack_is_the_stack_of_underlines(self, rng):
+        p = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        np.testing.assert_array_equal(
+            underline(p), [np.concatenate([q.real, q.imag]).ravel(order="F")
+                           for q in p])
 
     def test_injective(self, rng):
         p = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))

@@ -10,8 +10,9 @@ from ostbc_blind import (ChannelRealization, ConstellationModel,
                          lift_to_channel, predicted_eigenvalues,
                          principal_angles, realify, run_estimate, sample_R,
                          simulate, theoretical_R, underline, vec)
-from oracles import (build_A_dense, dense_phi, lifted_basis, rayleigh_dense,
-                     simulate_oneshot, vector_subspace_angle)
+from oracles import (build_A_dense, dense_phi, lifted_basis,
+                     mp_principal_angles, rayleigh_dense, simulate_oneshot,
+                     vector_subspace_angle)
 
 
 def random_spd(rng, k, lo=0.5, hi=2.0):
@@ -54,6 +55,14 @@ class TestTheoreticalR:
         ch = draw_channel(code.N, 1, rng)
         with pytest.raises(ValueError, match="noise variance must be finite"):
             theoretical_R(rc, ch.h0, ConstellationModel.iid_pm1(code.K), sigma2)
+
+    def test_rejects_channel_vector_of_wrong_shape(self):
+        code = builtin_code("alamouti")
+        rc = realify(code, 2)
+        with pytest.raises(ValueError, match=r"^channel vector has shape "
+                                             r"\(4,\), expected \(8,\)$"):
+            theoretical_R(rc, np.ones(4), ConstellationModel.iid_pm1(code.K),
+                          0.1)
 
     def test_returns_symmetric_array(self, rng):
         code = builtin_code("alamouti")
@@ -281,7 +290,6 @@ class TestEstimateChannel:
     def test_top_eigenspace_is_the_lifted_ambiguity_span(self, code, rng):
         # multiplicity of the top eigenvalue equals the ambiguity dimension
         # and the eigenspace coincides with the lifted subspace
-        from scipy.linalg import subspace_angles
         rc = realify(code, 2)
         ch = draw_channel(code.N, 2, rng)
         cm = ConstellationModel.correlated(random_spd(rng, code.K))
@@ -292,7 +300,7 @@ class TestEstimateChannel:
         assert int(np.sum(top)) == sub.dim
         lifted = np.column_stack(
             [lift_to_channel(rc, ch.h0, b) for b in sub.basis])
-        angles = subspace_angles(v[:, top], lifted)
+        angles = mp_principal_angles(v[:, top].T, lifted.T)
         assert np.max(angles) <= 1e-7
 
     @pytest.mark.parametrize("sigma2", [0.0, 0.01, 1.0, 10.0])

@@ -44,6 +44,11 @@ class TestSpectrumSpec:
         with pytest.raises(ValueError):
             SpectrumSpec.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError,
+                           match=r"^P must be square, got shape \(3, 2\)$"):
+            SpectrumSpec.from_matrix(np.ones((3, 2)), 1)
+
 
 class TestKyFanValue:
     def test_distinct_spectrum(self):
@@ -94,6 +99,17 @@ class TestMembership:
         spec = spec_from_eigs(rng, [3.0, 2.0, 1.0], 2)
         with pytest.raises(ValueError):
             kyfan_membership(spec, np.ones((3, 2)))
+
+    def test_rejects_wrong_shape(self, rng):
+        spec = spec_from_eigs(rng, [3.0, 2.0, 1.0], 2)
+        with pytest.raises(ValueError,
+                           match=r"^Q has shape \(3, 1\), expected \(3, 2\)$"):
+            kyfan_membership(spec, spec.eigenvectors[:, :1])
+
+    def test_rotation_requires_rng(self, rng):
+        spec = spec_from_eigs(rng, [3.0, 2.0, 1.0], 2)
+        with pytest.raises(ValueError, match="^rotation requires an rng$"):
+            construct_maximizer(spec, rotate=True)
 
     def test_near_maximizer_outside_structure_rejected(self, rng):
         # small mix toward a low eigenvector: trace within 1e-9 of the

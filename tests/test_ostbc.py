@@ -7,6 +7,7 @@ from ostbc_blind import (BUILTIN_CODE_NAMES, ChannelRealization,
                          CodeFormatError, CodeValidationError, OstbCode,
                          build_A, builtin_code, encode, load_code, realify,
                          underline, validate_code)
+from ostbc_blind.cli import main
 from ostbc_blind.ostbc import _phi, _phi_t
 from oracles import build_A_dense, code_to_dict, dense_phi
 
@@ -227,6 +228,11 @@ class TestChannelRealization:
         with pytest.raises(ValueError):
             ChannelRealization.from_matrix(np.zeros((2, 2), dtype=complex))
 
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError,
+                           match="^channel matrix must be 2-dimensional$"):
+            ChannelRealization.from_matrix(np.ones(3))
+
 
 class TestCodeFiles:
     def test_round_trip(self, tmp_path, code):
@@ -270,6 +276,20 @@ class TestCodeFiles:
             load_code(path)
         loaded = load_code(path, validate=False)
         assert not validate_code(loaded, 1e-9).passed
+
+    def test_matrix_of_wrong_shape_rejected(self, tmp_path, capsys):
+        payload = {"name": "narrow", "N": 2, "L": 2, "K": 1,
+                   "C": [[[[1.0, 0.0]], [[0.0, 0.0]]]]}
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(payload))
+        message = "code 'narrow': matrix 0 has shape (2, 1), expected (2, 2)"
+        with pytest.raises(CodeFormatError) as info:
+            load_code(path, validate=False)
+        assert str(info.value) == message
+        assert main(["codes", "validate", "--code-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_code_without_matrices_rejected(self, tmp_path):
         payload = {"name": "empty", "N": 2, "L": 2, "K": 0, "C": []}

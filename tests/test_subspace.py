@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ostbc_blind import (AmbiguityStructureError, AmbiguitySubspace,
-                         ChannelRealization, build_A, builtin_code,
-                         compute_bspace, compute_bstar, draw_channel, hr_basis,
-                         lift_to_channel, principal_angles, realify, rho,
-                         spans_match, vec)
+                         ChannelRealization, SubspaceError, build_A,
+                         builtin_code, compute_bspace, compute_bstar,
+                         draw_channel, hr_basis, lift_to_channel,
+                         principal_angles, realify, rho, spans_match, subspace,
+                         vec)
 
 from oracles import lift_kron, mp_principal_angles
 
@@ -157,6 +158,22 @@ class TestComputeBspace:
         with pytest.raises(ValueError):
             compute_bspace(alamouti, ch)
 
+    def test_basis_element_off_the_kernel_raises(self, alamouti, rng,
+                                                 monkeypatch):
+        original = subspace._identity_first
+
+        def last_row_replaced(span, K, resid_tol, error):
+            taken = original(span, K, resid_tol, error)
+            # E_11 is not orthogonal up to a constant: outside the kernel
+            taken[:, -1] = vec(np.diag([1.0, 0.0, 0.0, 0.0]))
+            return taken
+
+        monkeypatch.setattr(subspace, "_identity_first", last_row_replaced)
+        with pytest.raises(SubspaceError,
+                           match=r"^basis element leaves kernel residual "
+                                 r"\S+ above its bound \S+$"):
+            compute_bspace(alamouti, draw_channel(alamouti.N, 2, rng))
+
 
 class TestLiftToChannel:
     def test_identity_lifts_to_same_vector(self, code, rng):
@@ -268,6 +285,18 @@ class TestHurwitzRadon:
         fake = AmbiguitySubspace(code, "invariant", None, 2,
                                  (np.eye(2) / np.sqrt(2), nilpotent), 1e-9)
         with pytest.raises(AmbiguityStructureError):
+            hr_basis(fake)
+
+    def test_family_beyond_the_bound_detected(self):
+        # J and diag(1, -1) are orthogonal and anticommute, but beside the
+        # identity a 2 x 2 family holds at most rho(2) - 1 = 1 element
+        code = builtin_code("real2")
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        basis = tuple(b / np.sqrt(2) for b in (np.eye(2), J, np.diag([1.0, -1.0])))
+        fake = AmbiguitySubspace(code, "invariant", None, 3, basis, 1e-9)
+        with pytest.raises(AmbiguityStructureError,
+                           match="^family of 2 exceeds the Hurwitz-Radon "
+                                 "bound 1$"):
             hr_basis(fake)
 
 
