@@ -18,10 +18,11 @@ import numpy as np
 
 from ._floattext import CHUNK_NUMBERS, float_text
 from ._record import Record
+from .embed import vec
 from .estimator import _gaussian_channel
 from .gamma import unit_gammas
 from .subspace import (RANK_TOL, SPAN_ANGLE_TOL, _angles, _channel_bases,
-                       _orth_basis, compute_bstar)
+                       compute_bstar)
 
 # Byte budget of the channel kernel matrices of one stacked pass. The
 # census runs the trials at one antenna count in chunks of as many trials
@@ -73,14 +74,15 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
     t-th 2NM normals of the stream whatever the chunk sizes, so the
     results do not depend on how the trials are grouped. The trials at
     one M run as stacked passes of :func:`_chunk_trials` trials each: one
-    SVD for the kernels of the whole chunk and one for each
-    principal-angle step, with the checks and bits of
-    :func:`compute_bspace` and :func:`principal_angles` for every trial,
-    as if trial t ran alone on the t-th channel that
-    :func:`draw_channel` draws from the stream. The passes fill the
-    result's ``dims`` and ``angles`` arrays in place. A pass whose trials
-    disagree on the dimension builds no bases and computes no angles:
-    the check at the end of that M fails the run.
+    SVD for the kernels of the whole chunk and one for each of the two
+    principal-angle steps. Trial t has the dimension, checks and basis
+    bits of :func:`compute_bspace` as if it ran alone on the t-th channel
+    that :func:`draw_channel` draws from the stream; its angle is
+    :func:`_angles` of that basis and B*'s, measured on the kernel's own
+    orthonormal bases as they are, so it is bit for bit the same for any
+    chunking and agrees with :func:`principal_angles` to rounding. A pass
+    whose trials disagree on the dimension builds no bases and computes
+    no angles: the check at the end of that M fails the run.
 
     The critical count is the smallest M at which every trial's subspace
     equals the invariant space (same dimension and all principal angles
@@ -98,7 +100,7 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
         raise ValueError(f"trial count must be >= 1, got {trials}")
     bstar = compute_bstar(code, tol)
     unit = unit_gammas(code)
-    qstar = _orth_basis(bstar.basis)
+    qstar = vec(np.stack(bstar.basis)).T
     m_range = tuple(range(1, M_max + 1))
     dims = np.empty((M_max, trials), dtype=int)
     angles = np.empty((M_max, trials))
@@ -110,7 +112,8 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
             H0 = _gaussian_channel(code.N, M, rng, stop - start)
             dims[M - 1, start:stop], bases = _channel_bases(code, unit, H0, tol)
             if bases is not None:
-                angles[M - 1, start:stop] = _angles(bases, qstar).max(axis=-1)
+                qa = vec(bases).swapaxes(-1, -2)
+                angles[M - 1, start:stop] = _angles(qa, qstar).max(axis=-1)
         if (dims[M - 1] != dims[M - 1, 0]).any():
             hist = Counter(dims[M - 1].tolist())
             raise CensusError(

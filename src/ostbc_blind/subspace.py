@@ -224,7 +224,7 @@ class HurwitzRadonBasis(Record):
 def hr_basis(sub):
     """Extract the {identity} + Hurwitz-Radon basis from an ambiguity space.
 
-    The basis, in any order, is orthonormalized (:func:`_orth`) and
+    The basis, in any order, is orthonormalized (:func:`_orth_basis`) and
     reflected identity-first (:func:`_identity_first`); every later element
     is rescaled to an orthogonal matrix. Raises
     :class:`AmbiguityStructureError` when the basis is linearly dependent,
@@ -265,30 +265,14 @@ def hr_basis(sub):
                              float(anti))
 
 
-def _orth(a):
-    """Orthonormal bases of the column spaces of a stack (T, n, k).
-
-    One stacked thin SVD, cut at the rank of the first slice; every stack
-    here has one rank, either T = 1 or orthonormal bases of one dimension.
-    Returns the (T, n, rank) stack.
-    """
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = np.count_nonzero(s[0] > np.finfo(float).eps * max(a.shape[-2:])
-                            * s[0, 0])
-    # Each slice in Fortran order, as LAPACK returns it: that fixes the
-    # BLAS kernels of the products below and so the last bits of the angles.
-    return np.ascontiguousarray(u[..., :rank].swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
-def _angles(bases, qb):
+def _angles(qa, qb):
     """Principal angles between the span of each basis of a stack and qb.
 
-    ``bases`` is a stack (T, dim, p, q) of matrix bases and ``qb`` an
-    orthonormal (p*q, kb) basis from :func:`_orth_basis`. One stacked SVD
-    per step for the whole stack; returns the (T, min(dim, kb)) angles,
-    each row as :func:`principal_angles` orders it.
+    ``qa`` is a stack (T, n, ka) of orthonormal columns and ``qb`` an
+    orthonormal (n, kb) basis, both taken as they are. One stacked SVD per
+    step for the whole stack; returns the (T, min(ka, kb)) angles, each
+    row as :func:`principal_angles` orders it.
     """
-    qa = _orth(vec(bases).swapaxes(-1, -2))
     cross = qa.swapaxes(-1, -2) @ qb
     sigma = np.linalg.svd(cross, compute_uv=False)
     if qa.shape[-1] >= qb.shape[-1]:
@@ -302,8 +286,16 @@ def _angles(bases, qb):
 
 
 def _orth_basis(basis):
-    """Orthonormal (n, k) basis of the span of one sequence of matrices."""
-    return _orth(vec([basis]).swapaxes(-1, -2))[0]
+    """Orthonormal (n, rank) basis of the span of a sequence of matrices:
+    one thin SVD of their vectors, cut at singular values above
+    eps * max(n, len(basis)) * sigma_max. The bases that
+    :func:`_channel_bases` returns are orthonormal already."""
+    a = vec(basis).T
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    rank = np.count_nonzero(s > np.finfo(float).eps * max(a.shape) * s[0])
+    # Fortran order, as LAPACK returns it: that fixes the BLAS kernels of
+    # the products in _angles and so the last bits of the angles.
+    return np.asfortranarray(u[:, :rank])
 
 
 def principal_angles(basis_a, basis_b):
@@ -312,11 +304,11 @@ def principal_angles(basis_a, basis_b):
     Follows Knyazev and Argentati (2002): cosines from the singular values
     of Qa^T Qb, and arcsines of the residual's singular values for angles
     below pi/4, where the cosine loses precision. Returned in descending
-    order, as many as the smaller dimension. This is the one-pair case of
-    the stacked angles that the census computes for a whole chunk of
-    trials against the invariant space, with the same bits per pair.
+    order, as many as the smaller dimension. Each basis may be in any
+    order and linearly dependent: both are orthonormalized first by
+    :func:`_orth_basis`, then measured by :func:`_angles`.
     """
-    return _angles([basis_a], _orth_basis(basis_b))[0]
+    return _angles(_orth_basis(basis_a)[None], _orth_basis(basis_b))[0]
 
 
 def spans_match(basis_a, basis_b):

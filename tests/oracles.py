@@ -18,7 +18,7 @@ import numpy as np
 
 from ostbc_blind import (OstbCode, build_A, builtin_code, compute_bspace,
                          compute_bstar, draw_channel, lift_to_channel,
-                         overline, principal_angles, random_stiefel, realify)
+                         overline, random_stiefel, realify, subspace, vec)
 
 
 def kron(a, b):
@@ -189,9 +189,11 @@ def unit_gammas_loop(code):
 
 def census_records_per_trial(code, M_max, trials, seed, tol=1e-9):
     """Census ``(dims, angles)``, each (M_max, trials), by compute_bspace
-    and principal_angles, one trial at a time; the trials at M take one
-    draw_channel each, in turn, from the (seed, M) stream."""
+    and the principal angles of its basis and B*'s as they are, one trial
+    at a time; the trials at M take one draw_channel each, in turn, from
+    the (seed, M) stream."""
     bstar = compute_bstar(code, tol)
+    qstar = vec(np.stack(bstar.basis)).T
     dims = np.empty((M_max, trials), dtype=int)
     angles = np.empty((M_max, trials))
     for M in range(1, M_max + 1):
@@ -199,8 +201,8 @@ def census_records_per_trial(code, M_max, trials, seed, tol=1e-9):
         for trial in range(trials):
             sub = compute_bspace(code, draw_channel(code.N, M, rng), tol)
             dims[M - 1, trial] = sub.dim
-            angles[M - 1, trial] = np.max(principal_angles(sub.basis,
-                                                           bstar.basis))
+            angles[M - 1, trial] = np.max(subspace._angles(
+                vec(np.stack(sub.basis)).T[None], qstar))
     return dims, angles
 
 

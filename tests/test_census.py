@@ -7,8 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ostbc_blind import (CensusError, builtin_code, compute_bspace,
-                         compute_bstar, draw_channel, find_mstar, unit_gammas,
+from ostbc_blind import (BUILTIN_CODE_NAMES, CensusError, builtin_code,
+                         compute_bspace, compute_bstar, draw_channel,
+                         find_mstar, principal_angles, unit_gammas,
                          write_census_csv)
 from ostbc_blind import census
 from ostbc_blind.cli import census_summary
@@ -211,6 +212,20 @@ class TestBatchedCensus:
         oracle = census_records_per_trial(code, code.N + 1, 12, seed)
         assert as_rows(result.dims, result.angles) == as_rows(*oracle)
 
+    @pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + ("real4x3",))
+    def test_angles_match_principal_angles(self, name):
+        # the angles measured on the kernel's bases as they are agree with
+        # principal_angles, which orthonormalizes both bases first
+        code = real4x3() if name == "real4x3" else builtin_code(name)
+        result = find_mstar(code, code.N + 1, 20, seed=5)
+        bstar = compute_bstar(code)
+        for M in result.M_range:
+            rng = np.random.default_rng([5, M])
+            for angle in result.angles[M - 1]:
+                sub = compute_bspace(code, draw_channel(code.N, M, rng))
+                reference = np.max(principal_angles(sub.basis, bstar.basis))
+                assert abs(angle - reference) <= 1e-14, (M, angle, reference)
+
     def test_channel_draws_independent_of_chunk_sizes(self):
         whole = _gaussian_channel(2, 3, np.random.default_rng([8, 3]), 1000)
         rng = np.random.default_rng([8, 3])
@@ -242,9 +257,8 @@ class TestBatchedCensus:
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         find_mstar(alamouti, 4, 100, 5)
-        # B*: its kernel and its orthonormal basis; per M: the kernels,
-        # the trials' orthonormal bases and the two angle steps.
-        assert len(calls) <= 2 + 4 * 4, calls
+        # B*: its kernel; per M: the kernels and the two angle steps.
+        assert len(calls) <= 1 + 3 * 4, calls
 
     def test_memory_bounded_by_chunk(self, alamouti, monkeypatch):
         monkeypatch.setattr(census, "CHUNK_BYTES",

@@ -623,6 +623,22 @@ class TestHostileInput:
         self.assert_one_error(["bstar", "--code-file", str(path)], capsys,
                               "the rows of matrix 2 differ in length")
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: p.pop("L"), "malformed code definition: 'L'"),
+        (lambda p: p.update(C=5), "field 'C' must be a list of matrices"),
+        (lambda p: p.update(C=[[]]), "matrix 0 is not two-dimensional")],
+        ids=["no-L", "C-a-number", "C-an-empty-matrix"])
+    def test_malformed_definition(self, change, message, tmp_path, capsys):
+        payload = code_to_dict(builtin_code("alamouti"))
+        change(payload)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        for action in (["codes", "validate"], ["bstar"]):
+            status, captured = self.run_quiet(
+                action + ["--code-file", str(path)], capsys)
+            assert (status, captured.out) == (1, "")
+            assert captured.err == f"error: {message}\n"
+
     def test_definition_that_is_no_object(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text(json.dumps([code_to_dict(builtin_code("alamouti"))]))

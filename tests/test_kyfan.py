@@ -153,6 +153,16 @@ class TestSampleCheck:
         t2 = np.trace((q @ b).T @ spec.P @ (q @ b))
         assert abs(t1 - t2) <= 1e-12 * max(abs(t1), 1.0)
 
+    def test_trace_above_the_bound_raises(self):
+        # eigenvalues 1.5 below those of P put the bound, 1.5, under the
+        # trace of many samples
+        spec = SpectrumSpec.from_matrix(np.diag([3.0, 2.0, 1.0]), 1)
+        low = SpectrumSpec(**{**vars(spec),
+                              "eigenvalues": spec.eigenvalues - 1.5})
+        with pytest.raises(KyFanError, match=r"^sampled trace \S+ exceeds "
+                                             r"bound 1\.5\d*e\+00$"):
+            kyfan_sample_check(low, 100, 1)
+
     def test_rejects_bad_sample_count(self, rng):
         spec = spec_from_eigs(rng, [1.0, 0.0], 1)
         with pytest.raises(ValueError):

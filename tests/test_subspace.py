@@ -335,7 +335,7 @@ class TestPrincipalAngles:
 
     @pytest.mark.parametrize("ka, kb", [(3, 3), (2, 5), (5, 2)])
     @pytest.mark.parametrize("regime", ["random", "near-zero", "near-right"])
-    def test_matches_scipy_reference(self, rng, ka, kb, regime):
+    def test_matches_mpmath_reference(self, rng, ka, kb, regime):
         # The reference is mpmath at 50 digits: scipy.linalg.subspace_angles
         # picks arcsine or arccosine per angle from mismatched orders.
         q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
