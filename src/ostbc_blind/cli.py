@@ -29,11 +29,14 @@ _ERRORS = (ValueError, KeyError, OSError, CodeFormatError, CodeValidationError,
            ConvergenceError, MemoryError, OverflowError)
 
 
-def _add_code_args(parser):
+def _add_code_and_tol_args(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--code", choices=BUILTIN_CODE_NAMES,
                        help="builtin code name")
     group.add_argument("--code-file", help="JSON code-definition file")
+    parser.add_argument("--tol", type=float, default=RANK_TOL,
+                        help="rank cut: singular values up to max(tol * "
+                             "sigma_max, 32 K^2 eps |H|_F) are zero")
 
 
 def _resolve_code(args, validate=True):
@@ -272,38 +275,34 @@ def build_parser():
     p.set_defaults(func=cmd_codes)
 
     p = sub.add_parser("bstar", help="channel-independent ambiguity space")
-    _add_code_args(p)
-    p.add_argument("--tol", type=float, default=RANK_TOL)
+    _add_code_and_tol_args(p)
     p.add_argument("--json", help="write the subspace report to this path")
     p.set_defaults(func=cmd_bstar)
 
     p = sub.add_parser("bspace", help="ambiguity space of one random channel")
-    _add_code_args(p)
+    _add_code_and_tol_args(p)
     p.add_argument("--rx", type=int, required=True, help="receive antennas")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=RANK_TOL)
     p.add_argument("--json", help="write the subspace report to this path")
     p.set_defaults(func=cmd_bspace)
 
     p = sub.add_parser("census", help="Monte Carlo dimension census over M")
-    _add_code_args(p)
+    _add_code_and_tol_args(p)
     p.add_argument("--rx-max", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=RANK_TOL)
     p.add_argument("--csv", help="write per-trial rows to this path")
     p.add_argument("--json", help="write the summary to this path")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("estimate", help="simulate a link and estimate blindly")
-    _add_code_args(p)
+    _add_code_and_tol_args(p)
     p.add_argument("--rx", type=int, required=True)
     p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--constellation", choices=["iid-uniform-pm1", "gaussian"],
                    default="iid-uniform-pm1")
-    p.add_argument("--tol", type=float, default=RANK_TOL)
     p.add_argument("--json", help="write the estimate report to this path")
     p.add_argument("--dump-blocks", help="write received blocks as CSV rows")
     p.set_defaults(func=cmd_estimate)

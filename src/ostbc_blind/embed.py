@@ -48,22 +48,23 @@ def _check_tol(tol, name="tol"):
         raise ValueError(f"{name} must be finite and in (0, 1), got {tol}")
 
 
-def _kernels(m, rel_tol):
+def _kernels(m, rel_tol, floor):
     """Kernel bases of a stack of real matrices, from one stacked SVD.
 
-    ``m`` has shape (T, r, n). Each matrix's kernel dimension comes from
-    its own singular values. Returns ``(dims, bases, s)``: the (T,) kernel
-    dimensions, the (T, n, k) stack of kernel bases with C-ordered slices
-    when all T dimensions equal k, or ``None`` when they differ, and the
-    (T, min(r, n)) singular values. ``np.linalg.svd`` factors each matrix
-    of a stack on its own, so every slice has the bits of a one-matrix call.
+    ``m`` has shape (T, r, n) and ``floor`` shape (T,). Matrix t keeps the
+    singular values above its cut max(rel_tol * sigma_max, floor[t]), so
+    an exactly zero matrix has rank 0 and, as LAPACK returns it, the
+    identity for its kernel basis. Returns ``(dims, bases, cut)``: the
+    (T,) kernel dimensions, the (T, n, k) stack of kernel bases with
+    C-ordered slices when all T dimensions equal k, or ``None`` when they
+    differ, and the (T,) cuts. ``np.linalg.svd`` factors each matrix of a
+    stack on its own, so every slice has the bits of a one-matrix call.
     """
     _check_tol(rel_tol, "rel_tol")
     r, n = m.shape[-2:]
     _, s, vh = np.linalg.svd(m, full_matrices=r < n)
-    zero = ~s.any(axis=-1)
-    rank = np.where(zero, 0, np.sum(s >= rel_tol * s[:, :1], axis=-1))
-    vh[zero] = np.eye(n)
+    cut = np.maximum(rel_tol * s[:, 0], floor)
+    rank = np.sum(s > cut[:, None], axis=-1)
     if (rank != rank[0]).any():
-        return n - rank, None, s
-    return n - rank, np.ascontiguousarray(vh[:, rank[0]:].swapaxes(-1, -2)), s
+        return n - rank, None, cut
+    return n - rank, np.ascontiguousarray(vh[:, rank[0]:].swapaxes(-1, -2)), cut

@@ -9,9 +9,10 @@ arithmetic (mpmath) for principal angles, a QR and an arcsine for the
 angle between a vector and a subspace, a LAPACK QR for the orthonormal
 Stiefel samples, one batch of draws for the Ky Fan sample check and for
 the link noise, and one trial at a time for the census. It also holds the
-tests' writer of code-definition files, a code with irrational entries
-and a code whose channel space reaches the invariant space only at two
-receive antennas.
+tests' writer of code-definition files, a code with irrational entries,
+a code whose channel space reaches the invariant space only at two
+receive antennas, the transform that maps a code to an equivalent one,
+and two code files whose products are exact only up to rounding.
 """
 
 import numpy as np
@@ -56,6 +57,30 @@ def real4x3():
 
     return OstbCode("real4x3", 3, 4, 4,
                     tuple(design(*e)[:, :3] for e in np.eye(4)))
+
+
+def transformed(code, U, V, O):
+    """The code C'_k = U (sum_j O_jk C_j) V, for U (L x L) and V (N x N)
+    unitary and O (K x K) real orthogonal: again an orthogonal code, with
+    B*(C') = O^T B*(C) O and B_C'(H) = O^T B_C(VH) O."""
+    mixed = np.einsum("jk,jln->kln", O, np.stack(code.C))
+    return OstbCode(f"{code.name}-transformed", code.N, code.L, code.K,
+                    tuple(U @ mixed @ V))
+
+
+# Two code files that pass validation although their products round. In
+# P0_JSON, a K = 1 code, C^H C = I holds only to rounding (unit error
+# 1.1e-16), so every channel kernel matrix is rounding noise. K2_MIXED_JSON
+# is alamouti-k2 mixed by random U, V and O (unit error 1.2e-15).
+P0_JSON = ('{"name":"p0","N":1,"L":1,"K":1,'
+           '"C":[[[[0.9946128276123087,0.1036596505350456]]]]}')
+K2_MIXED_JSON = (
+    '{"name":"k2-mixed","N":2,"L":2,"K":2,"C":[[[[0.7882733437307758,'
+    '0.09059027057762006],[0.30949338927777315,-0.5240537953622066]],'
+    '[[0.554705717298186,-0.2504398243827878],[0.004003320223583757,'
+    '0.7934515958689676]]],[[[0.6109947910887599,-0.22528006982744603],'
+    '[-0.35041112905294264,0.673161419004971]],[[-0.7073888116230802,'
+    '0.27483690543926326],[-0.2906283284010601,0.5827528801557846]]]]}')
 
 
 def code_to_dict(code):

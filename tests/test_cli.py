@@ -11,10 +11,10 @@ import pytest
 
 import ostbc_blind
 from ostbc_blind import builtin_code
-from ostbc_blind import cli, estimator, kyfan
+from ostbc_blind import cli, estimator, kyfan, subspace
 from ostbc_blind.cli import main
 
-from oracles import code_to_dict
+from oracles import K2_MIXED_JSON, P0_JSON, code_to_dict
 
 
 class TestCodes:
@@ -163,6 +163,45 @@ class TestCensus:
                          str(csv_path), "--json", str(json_path)]) == 0
             outs.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestCodesWhoseProductsRound:
+    """Valid code files whose channel kernel matrices round: in p0 every
+    one is rounding noise, and k2-mixed's products are inexact."""
+
+    @pytest.fixture(params=[("p0", P0_JSON, 1), ("k2-mixed", K2_MIXED_JSON, 2)],
+                    ids=lambda p: p[0])
+    def code_file(self, request, tmp_path):
+        name, text, dim = request.param
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        return str(path), dim
+
+    @pytest.mark.parametrize("argv", [
+        ["bstar"],
+        ["bspace", "--rx", "2", "--seed", "1"],
+        ["census", "--rx-max", "3", "--seed", "1"],
+        ["estimate", "--rx", "2", "--blocks", "100", "--sigma2", "0.01",
+         "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_runs_at_the_default_tolerance(self, code_file, argv, tmp_path,
+                                           capsys):
+        path, dim = code_file
+        out = tmp_path / "out.json"
+        assert main(argv + ["--code-file", path, "--json", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        if argv[0] == "census":
+            assert report["d_star"] == dim and report["M_star"] == 1
+        elif argv[0] != "estimate":
+            assert report["dim"] == dim
+
+    def test_census_at_a_tolerance_under_rounding(self, tmp_path, capsys):
+        path = tmp_path / "k2-mixed.json"
+        path.write_text(K2_MIXED_JSON)
+        assert main(["census", "--code-file", str(path), "--rx-max", "3",
+                     "--trials", "200", "--seed", "16", "--tol", "1e-15"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestEstimate:
@@ -477,11 +516,28 @@ class TestHostileInput:
     def test_tolerance_outside_unit_interval(self, argv, capsys):
         self.assert_one_error(argv, capsys, "tol must be finite and in (0, 1)")
 
-    def test_tolerance_that_empties_the_kernel(self, capsys):
-        # every singular value lies above 1e-300 * sigma_max: no kernel
-        self.assert_one_error(
+    def test_tolerance_under_the_rounding_floor(self, capsys):
+        # 1e-300 * sigma_max lies under the rounding of the kernel matrix:
+        # the cut is the floor 32 * K^2 * eps * |H|_F
+        status, captured = self.run_quiet(
             ["bspace", "--code", "alamouti", "--rx", "2", "--seed", "1",
-             "--tol", "1e-300"], capsys, "identity not in the subspace span")
+             "--tol", "1e-300"], capsys)
+        assert status == 0 and captured.err == ""
+        assert " dim=4 " in captured.out
+
+    def test_span_without_the_identity(self, monkeypatch, capsys):
+        original = subspace._kernels
+
+        def span_off_the_identity(m, rel_tol, floor):
+            dims, _, cut = original(m, rel_tol, floor)
+            # E_21 is orthogonal to vec(I) under the Frobenius product
+            bases = np.tile(np.eye(m.shape[-1])[:, [1]], (len(m), 1, 1))
+            return np.ones_like(dims), bases, cut
+
+        monkeypatch.setattr(subspace, "_kernels", span_off_the_identity)
+        self.assert_one_error(
+            ["bspace", "--code", "alamouti", "--rx", "2", "--seed", "1"],
+            capsys, "identity not in the subspace span (residual 1.000e+00)")
 
     def test_estimate_checks_tol_before_simulating(self, monkeypatch, capsys):
         def no_simulation(config):

@@ -7,9 +7,9 @@ from oracles import kron
 
 
 def kernel(m, rel_tol):
-    """Kernel basis and singular values of one matrix: a stack of one."""
-    _, bases, s = _kernels(m[None], rel_tol)
-    return bases[0], s[0]
+    """Kernel basis and cut of one matrix, a stack of one, at no floor."""
+    _, bases, cut = _kernels(m[None], rel_tol, np.zeros(1))
+    return bases[0], cut[0]
 
 
 class TestVec:
@@ -146,19 +146,32 @@ class TestNullSpace:
 
     def test_stack_of_one_dimension_is_one_array(self, rng):
         m = rng.standard_normal((4, 2, 5))
-        dims, bases, s = _kernels(m, 1e-9)
+        dims, bases, cut = _kernels(m, 1e-9, np.zeros(4))
         np.testing.assert_array_equal(dims, [3, 3, 3, 3])
-        assert bases.shape == (4, 5, 3) and s.shape == (4, 2)
+        assert bases.shape == (4, 5, 3) and cut.shape == (4,)
         for t in range(4):
             assert bases[t].flags.c_contiguous
             np.testing.assert_array_equal(bases[t], kernel(m[t], 1e-9)[0])
 
     def test_stack_of_mixed_dimensions_has_no_bases(self):
         m = np.stack([np.zeros((3, 3)), np.eye(3)])
-        dims, bases, s = _kernels(m, 1e-9)
+        dims, bases, cut = _kernels(m, 1e-9, np.zeros(2))
         np.testing.assert_array_equal(dims, [3, 0])
         assert bases is None
-        np.testing.assert_array_equal(s, [[0, 0, 0], [1, 1, 1]])
+        np.testing.assert_array_equal(cut, [0, 1e-9])
+
+    def test_floor_raises_the_cut(self):
+        m = np.stack([np.diag([1.0, 1e-12]), np.diag([1.0, 1e-12])])
+        dims, bases, cut = _kernels(m, 1e-15, np.array([0.0, 1e-10]))
+        np.testing.assert_array_equal(dims, [0, 1])
+        assert bases is None
+        np.testing.assert_array_equal(cut, [1e-15, 1e-10])
+
+    def test_cut_is_strict(self):
+        # a singular value equal to the cut is dropped
+        dims, _, cut = _kernels(np.diag([1.0, 0.5])[None], 0.5, np.zeros(1))
+        np.testing.assert_array_equal(dims, [1])
+        np.testing.assert_array_equal(cut, [0.5])
 
     def test_contract_on_random_low_rank(self, rng):
         for _ in range(10):

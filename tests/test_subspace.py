@@ -1,14 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from ostbc_blind import (AmbiguityStructureError, AmbiguitySubspace,
                          ChannelRealization, SubspaceError, build_A,
-                         builtin_code, compute_bspace, compute_bstar,
-                         draw_channel, hr_basis, lift_to_channel,
-                         principal_angles, realify, rho, spans_match, subspace,
-                         vec)
+                         builtin_code, code_from_dict, compute_bspace,
+                         compute_bstar, draw_channel, hr_basis,
+                         lift_to_channel, principal_angles, realify, rho,
+                         spans_match, subspace, unit_gammas, vec)
 
-from oracles import lift_kron, mp_principal_angles
+from oracles import P0_JSON, lift_kron, mp_principal_angles, real4x3
 
 EXPECTED_BSTAR_DIM = {
     "alamouti": 4,
@@ -173,6 +175,49 @@ class TestComputeBspace:
                            match=r"^basis element leaves kernel residual "
                                  r"\S+ above its bound \S+$"):
             compute_bspace(alamouti, draw_channel(alamouti.N, 2, rng))
+
+
+class TestScaleInvariance:
+    """B(cH) = B(H): the rank cut and its rounding floor scale with H."""
+
+    SCALES = (1e-150, 1e-8, 1e8, 1e150)
+
+    @staticmethod
+    def assert_same_space(got, want):
+        """Same dimension, and for dim <= 2 (identity first, the one other
+        element sign-fixed) the same basis; a larger basis may rotate."""
+        assert len(got) == len(want)
+        if len(want) <= 2:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        else:
+            assert spans_match(got, want)
+
+    def assert_scale_invariant(self, code, rng):
+        for M in range(1, code.N + 2):
+            H0 = draw_channel(code.N, M, rng).H0
+            sub = compute_bspace(code, ChannelRealization.from_matrix(H0))
+            for c in self.SCALES:
+                scaled = compute_bspace(code,
+                                        ChannelRealization.from_matrix(c * H0))
+                self.assert_same_space(scaled.basis, sub.basis)
+
+    def test_every_code(self, any_code, rng):
+        self.assert_scale_invariant(any_code, rng)
+
+    def test_channel_whose_squared_norm_overflows(self, any_code, rng):
+        # |cH|_F^2 overflows at c = 1e160 and |cH|_F does not; the stack
+        # bypasses ChannelRealization, whose own norm check overflows
+        H0 = draw_channel(any_code.N, 1, rng).H0
+        dims, mats = subspace._channel_bases(
+            any_code, unit_gammas(any_code), np.stack([H0, 1e160 * H0]), 1e-9)
+        assert dims[0] == dims[1]
+        self.assert_same_space(mats[1], mats[0])
+
+    @pytest.mark.parametrize("make", [
+        real4x3, lambda: code_from_dict(json.loads(P0_JSON))],
+        ids=["real4x3", "p0"])
+    def test_code_with_a_transition_or_rounded_products(self, make, rng):
+        self.assert_scale_invariant(make(), rng)
 
 
 class TestLiftToChannel:
