@@ -35,8 +35,8 @@ def _add_code_and_tol_args(parser):
                        help="builtin code name")
     group.add_argument("--code-file", help="JSON code-definition file")
     parser.add_argument("--tol", type=float, default=RANK_TOL,
-                        help="rank cut: singular values up to max(tol * "
-                             "sigma_max, 32 K^2 eps |H|_F) are zero")
+                        help="rank cut: singular values up to "
+                             "max(tol, 32 K^2 eps) |H|_F are zero")
 
 
 def _resolve_code(args, validate=True):

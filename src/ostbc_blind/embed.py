@@ -42,29 +42,27 @@ def overline(a):
     return np.block([[a.real, -a.imag], [a.imag, a.real]])
 
 
-def _check_tol(tol, name="tol"):
+def _check_tol(tol):
     """Raise ValueError unless ``tol`` is a finite number in (0, 1)."""
     if not 0 < tol < 1:     # also false for nan
-        raise ValueError(f"{name} must be finite and in (0, 1), got {tol}")
+        raise ValueError(f"tol must be finite and in (0, 1), got {tol}")
 
 
-def _kernels(m, rel_tol, floor):
+def _kernels(m, cut):
     """Kernel bases of a stack of real matrices, from one stacked SVD.
 
-    ``m`` has shape (T, r, n) and ``floor`` shape (T,). Matrix t keeps the
-    singular values above its cut max(rel_tol * sigma_max, floor[t]), so
-    an exactly zero matrix has rank 0 and, as LAPACK returns it, the
-    identity for its kernel basis. Returns ``(dims, bases, cut)``: the
-    (T,) kernel dimensions, the (T, n, k) stack of kernel bases with
-    C-ordered slices when all T dimensions equal k, or ``None`` when they
-    differ, and the (T,) cuts. ``np.linalg.svd`` factors each matrix of a
-    stack on its own, so every slice has the bits of a one-matrix call.
+    ``m`` has shape (T, r, n) and ``cut`` shape (T,). Matrix t keeps the
+    singular values above its absolute cut[t], so an exactly zero matrix
+    has rank 0 and, as LAPACK returns it, the identity for its kernel
+    basis. Returns ``(dims, bases)``: the (T,) kernel dimensions and the
+    (T, n, k) stack of kernel bases with C-ordered slices when all T
+    dimensions equal k, or ``None`` when they differ. ``np.linalg.svd``
+    factors each matrix of a stack on its own, so every slice has the bits
+    of a one-matrix call.
     """
-    _check_tol(rel_tol, "rel_tol")
     r, n = m.shape[-2:]
     _, s, vh = np.linalg.svd(m, full_matrices=r < n)
-    cut = np.maximum(rel_tol * s[:, 0], floor)
     rank = np.sum(s > cut[:, None], axis=-1)
     if (rank != rank[0]).any():
-        return n - rank, None, cut
-    return n - rank, np.ascontiguousarray(vh[:, rank[0]:].swapaxes(-1, -2)), cut
+        return n - rank, None
+    return n - rank, np.ascontiguousarray(vh[:, rank[0]:].swapaxes(-1, -2))

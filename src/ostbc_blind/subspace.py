@@ -16,14 +16,15 @@ from .embed import _check_tol, _kernels, vec
 from .gamma import _channel_kernel_matrices, unit_gammas
 from .ostbc import _phi_t, build_A
 
-RANK_TOL = 1e-9        # default tol: the rank cut is at least tol*sigma_max
+RANK_TOL = 1e-9        # default tol: the rank cut is tol * |H|_F
 SPAN_ANGLE_TOL = 1e-8  # radians: spans this close in every angle are equal
-# One cut per channel, max(tol * sigma_max, RESIDUAL_ROUNDING * K^2 * eps *
-# |H|_F), floors its rank and its kernel residuals: |H|_F scales with H, and
-# unlike sigma_max (|H|_F to rounding, unless gamma is rounding noise) never
-# cancels. Over 20000 channels per M = 1..N+1 on builtin, rotated and mixed
-# codes, in units of K^2 * eps * |H|_F, the largest value to drop measured
-# 1.62, the largest residual 9.0, the smallest kept value 6.2e11.
+# One cut per channel, max(tol, RESIDUAL_ROUNDING * K^2 * eps) * |H|_F,
+# decides its rank and bounds its kernel residuals. |H|_F is the largest
+# singular value of the kernel matrix for every code with K >= 2 (README),
+# scales with H and never cancels; for K = 1 the matrix is rounding noise.
+# Over 20000 channels per M = 1..N+1 on builtin, rotated and mixed codes,
+# in units of K^2 * eps * |H|_F, the largest value to drop measured 1.62,
+# the largest residual 9.0, the smallest kept value 6.2e11.
 RESIDUAL_ROUNDING = 32
 
 
@@ -120,8 +121,8 @@ def _channel_bases(code, unit, H0, tol):
     (T, dim, K, K) stack of Frobenius-orthonormal bases, or ``None`` when
     the dimensions differ. Each basis is the SVD's kernel columns
     reflected identity-first by :func:`_identity_first`, its other
-    elements sign-fixed. One cut per channel (:data:`RESIDUAL_ROUNDING`)
-    decides its rank and bounds its kernel residuals; the first channel
+    elements sign-fixed. The cut max(tol, 32 K^2 eps) |H|_F decides each
+    channel's rank and bounds its kernel residuals; the first channel
     that breaks a check raises :class:`SubspaceError`. H0 = I_N gives B*,
     which equals B(H) for every H whose columns span C^N.
     """
@@ -133,10 +134,10 @@ def _channel_bases(code, unit, H0, tol):
         raise ValueError("zero channel matrix is rejected")
     K = code.K
     # |H|_F by hypot, which does not overflow where the sum of squares does
-    floor = (RESIDUAL_ROUNDING * K * K * np.finfo(float).eps
-             * np.hypot.reduce(np.abs(H0).reshape(len(H0), -1), axis=-1))
+    cut = (max(tol, RESIDUAL_ROUNDING * K * K * np.finfo(float).eps)
+           * np.hypot.reduce(np.abs(H0).reshape(len(H0), -1), axis=-1))
     ops = _channel_kernel_matrices(unit, H0)
-    dims, span, cut = _kernels(ops, tol, floor)
+    dims, span = _kernels(ops, cut)
     if span is None:
         return dims, None
     taken = _identity_first(span, K, 1e-10, SubspaceError)

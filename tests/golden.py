@@ -181,6 +181,8 @@ def _code_files():
             "real4x3.json": text(oracles.real4x3()),
             "p0.json": oracles.P0_JSON,
             "k2-mixed.json": oracles.K2_MIXED_JSON,
+            "k1-1e-13.json": oracles.K1_1E13_JSON,
+            "k1-4e-13.json": oracles.K1_4E13_JSON,
             "no-l.json": json.dumps({"name": "m", "N": 1, "K": 1,
                                      "C": [[[[1.0, 0.0]]]]})}
 
@@ -204,6 +206,16 @@ def _lines():
             ["census", *code, "--rx-max", "4", "--seed", "2",
              "--tol", "1e-15", "--json", "c.json"],
             ["estimate", *code, "--rx", "3", "--blocks", "500", "--sigma2",
+             "0.01", "--seed", "1", "--json", "e.json"],
+        ]
+    for name in ("k1-1e-13.json", "k1-4e-13.json"):
+        code = ["--code-file", name]
+        lines += [
+            ["bstar", *code, "--json", "b.json"],
+            ["bspace", *code, "--rx", "2", "--seed", "1", "--json", "s.json"],
+            ["census", *code, "--rx-max", "2", "--trials", "10", "--seed", "1",
+             "--json", "c.json", "--csv", "c.csv"],
+            ["estimate", *code, "--rx", "2", "--blocks", "100", "--sigma2",
              "0.01", "--seed", "1", "--json", "e.json"],
         ]
     lines += [

@@ -11,8 +11,9 @@ Stiefel samples, one batch of draws for the Ky Fan sample check and for
 the link noise, and one trial at a time for the census. It also holds the
 tests' writer of code-definition files, a code with irrational entries,
 a code whose channel space reaches the invariant space only at two
-receive antennas, the transform that maps a code to an equivalent one,
-and two code files whose products are exact only up to rounding.
+receive antennas, the transform that maps a code to an equivalent one
+and a random draw of it, and four code files whose products are exact
+only up to rounding.
 """
 
 import numpy as np
@@ -68,6 +69,17 @@ def transformed(code, U, V, O):
                     tuple(U @ mixed @ V))
 
 
+def random_transform(code, rng):
+    """``code`` transformed by random U, V and O, with V and O."""
+    def unitary(n):
+        return orthonormal_qr(rng.standard_normal((n, n))
+                              + 1j * rng.standard_normal((n, n)))
+
+    U, V = unitary(code.L), unitary(code.N)
+    O = orthonormal_qr(rng.standard_normal((code.K, code.K)))
+    return transformed(code, U, V, O), V, O
+
+
 # Two code files that pass validation although their products round. In
 # P0_JSON, a K = 1 code, C^H C = I holds only to rounding (unit error
 # 1.1e-16), so every channel kernel matrix is rounding noise. K2_MIXED_JSON
@@ -81,6 +93,13 @@ K2_MIXED_JSON = (
     '0.7934515958689676]]],[[[0.6109947910887599,-0.22528006982744603],'
     '[-0.35041112905294264,0.673161419004971]],[[-0.7073888116230802,'
     '0.27483690543926326],[-0.2906283284010601,0.5827528801557846]]]]}')
+# Two K = 1 code files that pass validation with unit errors 2.0e-13 and
+# 8.0e-13: their channel kernel matrices are rounding noise above the
+# floor 32 * eps * |H|_F but under the default cut 1e-9 * |H|_F.
+K1_1E13_JSON = ('{"name":"k1-1e-13","N":1,"L":1,"K":1,'
+                '"C":[[[[1.0000000000001,0.0]]]]}')
+K1_4E13_JSON = ('{"name":"k1-4e-13","N":1,"L":1,"K":1,'
+                '"C":[[[[1.0000000000004,0.0]]]]}')
 
 
 def code_to_dict(code):

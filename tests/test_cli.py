@@ -14,7 +14,8 @@ from ostbc_blind import builtin_code
 from ostbc_blind import cli, estimator, kyfan, subspace
 from ostbc_blind.cli import main
 
-from oracles import K2_MIXED_JSON, P0_JSON, code_to_dict
+from oracles import (K1_1E13_JSON, K1_4E13_JSON, K2_MIXED_JSON, P0_JSON,
+                     code_to_dict)
 
 
 class TestCodes:
@@ -167,9 +168,12 @@ class TestCensus:
 
 class TestCodesWhoseProductsRound:
     """Valid code files whose channel kernel matrices round: in p0 every
-    one is rounding noise, and k2-mixed's products are inexact."""
+    one is rounding noise, in the two K = 1 files noise above the rounding
+    floor, and k2-mixed's products are inexact."""
 
-    @pytest.fixture(params=[("p0", P0_JSON, 1), ("k2-mixed", K2_MIXED_JSON, 2)],
+    @pytest.fixture(params=[("p0", P0_JSON, 1), ("k2-mixed", K2_MIXED_JSON, 2),
+                            ("k1-1e-13", K1_1E13_JSON, 1),
+                            ("k1-4e-13", K1_4E13_JSON, 1)],
                     ids=lambda p: p[0])
     def code_file(self, request, tmp_path):
         name, text, dim = request.param
@@ -528,11 +532,11 @@ class TestHostileInput:
     def test_span_without_the_identity(self, monkeypatch, capsys):
         original = subspace._kernels
 
-        def span_off_the_identity(m, rel_tol, floor):
-            dims, _, cut = original(m, rel_tol, floor)
+        def span_off_the_identity(m, cut):
+            dims, _ = original(m, cut)
             # E_21 is orthogonal to vec(I) under the Frobenius product
             bases = np.tile(np.eye(m.shape[-1])[:, [1]], (len(m), 1, 1))
-            return np.ones_like(dims), bases, cut
+            return np.ones_like(dims), bases
 
         monkeypatch.setattr(subspace, "_kernels", span_off_the_identity)
         self.assert_one_error(

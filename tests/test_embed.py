@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from ostbc_blind import overline, underline, vec
+from ostbc_blind import (ConstellationModel, SimulationConfig, builtin_code,
+                         compute_bspace, compute_bstar, draw_channel,
+                         find_mstar, overline, run_estimate, underline, vec)
 from ostbc_blind.embed import _kernels
 from oracles import kron
 
 
-def kernel(m, rel_tol):
-    """Kernel basis and cut of one matrix, a stack of one, at no floor."""
-    _, bases, cut = _kernels(m[None], rel_tol, np.zeros(1))
-    return bases[0], cut[0]
+def kernel(m, cut):
+    """Kernel basis of one matrix, a stack of one, at an absolute cut."""
+    _, bases = _kernels(m[None], np.array([cut]))
+    return bases[0]
 
 
 class TestVec:
@@ -118,14 +120,15 @@ class TestKron:
 
 class TestNullSpace:
     def test_full_rank_empty(self):
-        assert kernel(np.eye(3), 1e-9)[0].shape == (3, 0)
+        assert kernel(np.eye(3), 1e-9).shape == (3, 0)
 
     def test_zero_matrix_identity_basis(self):
-        np.testing.assert_array_equal(kernel(np.zeros((2, 2)), 1e-9)[0],
+        # the cut is strict, so at a cut of 0 a zero matrix has rank 0
+        np.testing.assert_array_equal(kernel(np.zeros((2, 2)), 0.0),
                                       np.eye(2))
 
     def test_rank_one(self):
-        ns, _ = kernel(np.ones((2, 2)), 1e-9)
+        ns = kernel(np.ones((2, 2)), 1e-9)
         assert ns.shape == (2, 1)
         expected = np.array([1.0, -1.0]) / np.sqrt(2)
         # same line, sign-insensitive
@@ -133,53 +136,68 @@ class TestNullSpace:
                                    np.outer(expected, expected),
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1.0, np.inf, np.nan])
-    def test_rejects_nonpositive_tol(self, bad):
-        with pytest.raises(ValueError):
-            kernel(np.eye(2), bad)
-
     def test_wide_matrix(self, rng):
         m = rng.standard_normal((2, 5))
-        ns, _ = kernel(m, 1e-9)
+        ns = kernel(m, 1e-9)
         assert ns.shape == (5, 3)
         np.testing.assert_allclose(m @ ns, 0, rtol=0, atol=1e-12)
 
     def test_stack_of_one_dimension_is_one_array(self, rng):
         m = rng.standard_normal((4, 2, 5))
-        dims, bases, cut = _kernels(m, 1e-9, np.zeros(4))
+        dims, bases = _kernels(m, np.full(4, 1e-9))
         np.testing.assert_array_equal(dims, [3, 3, 3, 3])
-        assert bases.shape == (4, 5, 3) and cut.shape == (4,)
+        assert bases.shape == (4, 5, 3)
         for t in range(4):
             assert bases[t].flags.c_contiguous
-            np.testing.assert_array_equal(bases[t], kernel(m[t], 1e-9)[0])
+            np.testing.assert_array_equal(bases[t], kernel(m[t], 1e-9))
 
     def test_stack_of_mixed_dimensions_has_no_bases(self):
         m = np.stack([np.zeros((3, 3)), np.eye(3)])
-        dims, bases, cut = _kernels(m, 1e-9, np.zeros(2))
+        dims, bases = _kernels(m, np.full(2, 1e-9))
         np.testing.assert_array_equal(dims, [3, 0])
         assert bases is None
-        np.testing.assert_array_equal(cut, [0, 1e-9])
 
     def test_floor_raises_the_cut(self):
+        # each matrix has its own cut: one raised to a floor of 1e-10
+        # drops the singular value 1e-12 that a cut of 1e-15 keeps
         m = np.stack([np.diag([1.0, 1e-12]), np.diag([1.0, 1e-12])])
-        dims, bases, cut = _kernels(m, 1e-15, np.array([0.0, 1e-10]))
+        dims, bases = _kernels(m, np.array([1e-15, 1e-10]))
         np.testing.assert_array_equal(dims, [0, 1])
         assert bases is None
-        np.testing.assert_array_equal(cut, [1e-15, 1e-10])
 
     def test_cut_is_strict(self):
         # a singular value equal to the cut is dropped
-        dims, _, cut = _kernels(np.diag([1.0, 0.5])[None], 0.5, np.zeros(1))
+        dims, _ = _kernels(np.diag([1.0, 0.5])[None], np.array([0.5]))
         np.testing.assert_array_equal(dims, [1])
-        np.testing.assert_array_equal(cut, [0.5])
 
     def test_contract_on_random_low_rank(self, rng):
         for _ in range(10):
             r = int(rng.integers(1, 4))
             m = rng.standard_normal((6, r)) @ rng.standard_normal((r, 5))
-            ns, _ = kernel(m, 1e-9)
+            smax = np.linalg.svd(m, compute_uv=False)[0]
+            ns = kernel(m, 1e-9 * smax)
             assert ns.shape == (5, 5 - r)
             np.testing.assert_allclose(ns.T @ ns, np.eye(5 - r),
                                        rtol=0, atol=1e-12)
-            smax = np.linalg.svd(m, compute_uv=False)[0]
             assert np.linalg.norm(m @ ns, 2) <= 1e-9 * smax
+
+
+class TestCheckTol:
+    """_kernels takes absolute cuts; every public entry checks tol."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("entry", ["compute_bstar", "compute_bspace",
+                                       "find_mstar", "run_estimate"])
+    def test_rejects_nonpositive_tol(self, entry, bad):
+        code = builtin_code("alamouti")
+        calls = {
+            "compute_bstar": lambda: compute_bstar(code, bad),
+            "compute_bspace": lambda: compute_bspace(
+                code, draw_channel(2, 1, np.random.default_rng(1)), bad),
+            "find_mstar": lambda: find_mstar(code, 1, 2, 1, bad),
+            "run_estimate": lambda: run_estimate(SimulationConfig(
+                code, 1, ConstellationModel.iid_pm1(4), 10, 0.1, 1), bad),
+        }
+        with pytest.raises(ValueError,
+                           match=r"tol must be finite and in \(0, 1\)"):
+            calls[entry]()

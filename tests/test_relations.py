@@ -20,7 +20,7 @@ from ostbc_blind import (BUILTIN_CODE_NAMES, ChannelRealization, OstbCode,
                          validate_code)
 from ostbc_blind.cli import main
 
-from oracles import code_to_dict, orthonormal_qr, real4x3, transformed
+from oracles import code_to_dict, random_transform, real4x3
 
 SEEDS = (1, 2, 3)
 ANGLE_TOL = 1e-13
@@ -29,17 +29,6 @@ ANGLE_TOL = 1e-13
 def unit_code(N):
     """The K = 1 code C_1 = I_N: transformed, a random unitary code."""
     return OstbCode(f"unit{N}", N, N, 1, (np.eye(N),))
-
-
-def random_transform(code, rng):
-    """``code`` transformed by random U, V and O, with V and O."""
-    def unitary(n):
-        return orthonormal_qr(rng.standard_normal((n, n))
-                              + 1j * rng.standard_normal((n, n)))
-
-    U, V = unitary(code.L), unitary(code.N)
-    O = orthonormal_qr(rng.standard_normal((code.K, code.K)))
-    return transformed(code, U, V, O), V, O
 
 
 def max_angle(sub, ref, O):

@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from ostbc_blind import (AmbiguityStructureError, AmbiguitySubspace,
-                         ChannelRealization, SubspaceError, build_A,
-                         builtin_code, code_from_dict, compute_bspace,
-                         compute_bstar, draw_channel, hr_basis,
+from ostbc_blind import (BUILTIN_CODE_NAMES, AmbiguityStructureError,
+                         AmbiguitySubspace, ChannelRealization, OstbCode,
+                         SubspaceError, build_A, builtin_code, code_from_dict,
+                         compute_bspace, compute_bstar, draw_channel, hr_basis,
                          lift_to_channel, principal_angles, realify, rho,
                          spans_match, subspace, unit_gammas, vec)
+from ostbc_blind.gamma import _channel_kernel_matrices
 
-from oracles import P0_JSON, lift_kron, mp_principal_angles, real4x3
+from oracles import (P0_JSON, lift_kron, mp_principal_angles,
+                     random_transform, real4x3, rotated_alamouti)
 
 EXPECTED_BSTAR_DIM = {
     "alamouti": 4,
@@ -218,6 +220,44 @@ class TestScaleInvariance:
         ids=["real4x3", "p0"])
     def test_code_with_a_transition_or_rounded_products(self, make, rng):
         self.assert_scale_invariant(make(), rng)
+
+
+def _scale_codes():
+    base = ([builtin_code(name) for name in BUILTIN_CODE_NAMES]
+            + [real4x3(), rotated_alamouti(3), rotated_alamouti(4),
+               OstbCode("unit2", 2, 2, 1, (np.eye(2),))])
+    rng = np.random.default_rng(27)
+    return {c.name: c for c in base + [random_transform(c, rng)[0]
+                                       for c in base]}
+
+
+SCALE_CODES = _scale_codes()
+
+
+@pytest.mark.parametrize("name", SCALE_CODES)
+def test_largest_singular_value_is_the_channel_norm(name, rng):
+    """sigma_max of the channel kernel matrix is |H|_F for every code with
+    K >= 2, reached at B = E_ab + E_ba, so one cut max(tol, 32 K^2 eps)
+    |H|_F serves every channel; for K = 1 the matrix is rounding noise."""
+    code = SCALE_CODES[name]
+    K, eps = code.K, np.finfo(float).eps
+    unit = unit_gammas(code)
+    for M in range(1, code.N + 2):
+        H0 = (rng.standard_normal((20, code.N, M))
+              + 1j * rng.standard_normal((20, code.N, M)))
+        for c in (1e-150, 1.0, 1e150):
+            ops = _channel_kernel_matrices(unit, c * H0)
+            norm = np.hypot.reduce(np.abs(c * H0).reshape(20, -1), axis=-1)
+            smax = np.linalg.svd(ops, compute_uv=False)[:, 0] / norm
+            if K == 1:
+                assert smax.max() <= subspace.RESIDUAL_ROUNDING * eps
+                continue
+            assert np.abs(smax - 1).max() <= 8 * eps
+            for a in range(K):
+                for b in range(a + 1, K):
+                    witness = ops[..., a + b * K] + ops[..., b + a * K]
+                    ratio = np.linalg.norm(witness, axis=-1) / norm
+                    assert np.abs(ratio - np.sqrt(2)).max() <= 8 * eps
 
 
 class TestLiftToChannel:
