@@ -166,9 +166,9 @@ class ChannelRealization(Record):
         H0 = np.asarray(H0, dtype=complex)
         if H0.ndim != 2:
             raise ValueError("channel matrix must be 2-dimensional")
-        h0 = underline(H0)
-        if np.linalg.norm(h0) == 0.0:
+        if not H0.any():
             raise ValueError("zero channel matrix is rejected")
+        h0 = underline(H0)
         H0 = H0.copy()
         H0.setflags(write=False)
         h0.setflags(write=False)

@@ -206,9 +206,18 @@ class TestScaleInvariance:
     def test_every_code(self, any_code, rng):
         self.assert_scale_invariant(any_code, rng)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-170, 1e155])
+    def test_realization_whose_sum_of_squares_leaves_the_range(self, code, c,
+                                                               rng):
+        # ChannelRealization rejects only an exactly zero channel
+        for M in range(1, 4):
+            H0 = draw_channel(code.N, M, rng).H0
+            sub = compute_bspace(code, ChannelRealization.from_matrix(H0))
+            scaled = compute_bspace(code, ChannelRealization.from_matrix(c * H0))
+            self.assert_same_space(scaled.basis, sub.basis)
+
     def test_channel_whose_squared_norm_overflows(self, any_code, rng):
-        # |cH|_F^2 overflows at c = 1e160 and |cH|_F does not; the stack
-        # bypasses ChannelRealization, whose own norm check overflows
+        # |cH|_F^2 overflows at c = 1e160 and |cH|_F does not
         H0 = draw_channel(any_code.N, 1, rng).H0
         dims, mats = subspace._channel_bases(
             any_code, unit_gammas(any_code), np.stack([H0, 1e160 * H0]), 1e-9)
