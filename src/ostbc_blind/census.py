@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._floattext import CHUNK_NUMBERS, float_text
+from ._floattext import CHUNK_NUMBERS
 from ._record import Record
 from .embed import vec
 from .estimator import _gaussian_channel
@@ -158,8 +158,7 @@ def write_census_csv(result, path):
 
     The bytes are those of ``csv.writer``: rows end in ``\\r\\n``, the code
     name is quoted as ``csv`` quotes it, and each angle is its ``repr``.
-    The rows are written :data:`CHUNK_NUMBERS` trials at a time, the
-    angles of a chunk formatted at once by :func:`float_text`.
+    The rows are written :data:`CHUNK_NUMBERS` trials at a time.
     """
     name = io.StringIO()
     csv.writer(name).writerow([result.code, ""])     # "<code>,\r\n"
@@ -167,11 +166,10 @@ def write_census_csv(result, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("code,M,trial,dim,max_principal_angle_to_bstar\r\n")
         for M, dims, angles in zip(result.M_range, result.dims, result.angles):
-            row = f"{code},{M},%d,%d,%s\r\n"
+            row = f"{code},{M},%d,%d,%r\r\n"
             for start in range(0, len(dims), CHUNK_NUMBERS):
                 part = slice(start, start + CHUNK_NUMBERS)
-                texts = float_text(angles[part], ("\n",)).split("\n")
-                fh.write(row * len(texts) % tuple(chain.from_iterable(
-                    zip(range(start, start + len(texts)), dims[part].tolist(),
-                        texts))))
+                trials = range(len(dims))[part]
+                fh.write(row * len(trials) % tuple(chain.from_iterable(
+                    zip(trials, dims[part].tolist(), angles[part].tolist()))))
 
