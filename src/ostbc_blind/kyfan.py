@@ -183,18 +183,21 @@ SAMPLE_ENTRIES = 8192 * 18
 # Largest sample count of the check, which bounds its time: 2**32 samples
 # of a 6 x 3 check take about an hour at a million samples per second.
 MAX_SAMPLES = 2 ** 32
+# Samples whose trace lies this close to the maximum must be maximizers.
+NEAR_TOL = 1e-9
 
 
-def kyfan_sample_check(spec, samples, seed, near_tol=1e-9, membership_tol=1e-8):
+def kyfan_sample_check(spec, samples, seed):
     """Sample random orthonormal-column matrices against the trace bound.
 
     Draws ``samples`` matrices, at most :data:`MAX_SAMPLES`, checks that
     no trace exceeds value + 1e-12 |P|, and that every sample within
-    ``near_tol`` of the maximum passes the membership test. Violations raise
-    :class:`KyFanError`; the returned report carries the summary. The
-    draws come from one random stream in batches of :data:`SAMPLE_ENTRIES`
-    matrix entries, and each sample's matrix and trace depend on its own
-    draws alone, so the result has the same bits for any batch size.
+    :data:`NEAR_TOL` of the maximum passes :func:`kyfan_membership` at its
+    default tolerance. Violations raise :class:`KyFanError`; the returned
+    report carries the summary. The draws come from one random stream in
+    batches of :data:`SAMPLE_ENTRIES` matrix entries, and each sample's
+    matrix and trace depend on its own draws alone, so the result has the
+    same bits for any batch size.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
@@ -215,11 +218,11 @@ def kyfan_sample_check(spec, samples, seed, near_tol=1e-9, membership_tol=1e-8):
         if max_trace > bound:
             raise KyFanError(
                 f"sampled trace {max_trace:.15e} exceeds bound {bound:.15e}")
-        near = np.flatnonzero(traces >= value - near_tol)
+        near = np.flatnonzero(traces >= value - NEAR_TOL)
         for idx in near:
-            if not kyfan_membership(spec, batch[idx], membership_tol):
+            if not kyfan_membership(spec, batch[idx]):
                 raise KyFanError(
-                    f"sample {start + idx} is within {near_tol} of the maximum "
+                    f"sample {start + idx} is within {NEAR_TOL} of the maximum "
                     f"but fails the maximizer characterization")
         n_near += int(near.size)
     return KyFanSampleReport(spec.m, spec.q, samples, seed, value, float(bound),

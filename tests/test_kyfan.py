@@ -191,7 +191,8 @@ class TestChunkedSampling:
         # A wide near band, with membership waved through, counts the
         # near samples of every batch.
         monkeypatch.setattr(kyfan, "kyfan_membership", lambda *args: True)
-        wide = kyfan_sample_check(spec, samples, [9, 1], near_tol=0.5)
+        monkeypatch.setattr(kyfan, "NEAR_TOL", 0.5)
+        wide = kyfan_sample_check(spec, samples, [9, 1])
         assert wide.n_near == int(np.sum(traces >= wide.value - 0.5)) > 0
         assert wide.n_near == int(np.sum(oracle >= wide.value - 0.5))
 
@@ -214,7 +215,7 @@ class TestChunkedSampling:
         chunk = batch_size(2, 2)
         calls = []
 
-        def fail_once(spec, Q, tol):
+        def fail_once(spec, Q):
             calls.append(Q)
             return len(calls) != chunk + 5
 
