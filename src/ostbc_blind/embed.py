@@ -52,13 +52,12 @@ def _kernels(m, cut):
     """Kernel bases of a stack of real matrices, from one stacked SVD.
 
     ``m`` has shape (T, r, n) and ``cut`` shape (T,). Matrix t keeps the
-    singular values above its absolute cut[t], so an exactly zero matrix
-    has rank 0 and, as LAPACK returns it, the identity for its kernel
-    basis. Returns ``(dims, bases)``: the (T,) kernel dimensions and the
-    (T, n, k) stack of kernel bases with C-ordered slices when all T
-    dimensions equal k, or ``None`` when they differ. ``np.linalg.svd``
-    factors each matrix of a stack on its own, so every slice has the bits
-    of a one-matrix call.
+    singular values above cut[t], so an exactly zero matrix has rank 0
+    and, as LAPACK returns it, the identity for its kernel basis. Returns
+    ``(dims, bases)``: the (T,) kernel dimensions and the (T, n, k) stack
+    of kernel bases with C-ordered slices when all T dimensions equal k,
+    or ``None`` when they differ. ``np.linalg.svd`` factors each matrix of
+    a stack on its own, so every slice has the bits of a one-matrix call.
     """
     r, n = m.shape[-2:]
     _, s, vh = np.linalg.svd(m, full_matrices=r < n)

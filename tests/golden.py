@@ -30,7 +30,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import platform
 import re
@@ -128,8 +127,7 @@ def record(argv, files):
 
 def _numbers_close(got, want):
     return len(got) == len(want) and all(
-        abs(g - w) <= REL_TOL * abs(w) + ABS_TOL
-        or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want))
+        abs(g - w) <= REL_TOL * abs(w) + ABS_TOL for g, w in zip(got, want))
 
 
 def compare(want, got, exact):

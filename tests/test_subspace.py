@@ -182,7 +182,9 @@ class TestComputeBspace:
 class TestScaleInvariance:
     """B(cH) = B(H): the rank cut and its rounding floor scale with H."""
 
-    SCALES = (1e-150, 1e-8, 1e8, 1e150)
+    # |cH|_F^2 underflows at c = 1e-300 and 1e-170 and overflows at 1e155,
+    # where ChannelRealization still takes the channel
+    SCALES = (1e-300, 1e-170, 1e-150, 1e-8, 1e8, 1e150, 1e155)
 
     @staticmethod
     def assert_same_space(got, want):
@@ -205,16 +207,6 @@ class TestScaleInvariance:
 
     def test_every_code(self, any_code, rng):
         self.assert_scale_invariant(any_code, rng)
-
-    @pytest.mark.parametrize("c", [1e-300, 1e-170, 1e155])
-    def test_realization_whose_sum_of_squares_leaves_the_range(self, code, c,
-                                                               rng):
-        # ChannelRealization rejects only an exactly zero channel
-        for M in range(1, 4):
-            H0 = draw_channel(code.N, M, rng).H0
-            sub = compute_bspace(code, ChannelRealization.from_matrix(H0))
-            scaled = compute_bspace(code, ChannelRealization.from_matrix(c * H0))
-            self.assert_same_space(scaled.basis, sub.basis)
 
     def test_channel_whose_squared_norm_overflows(self, any_code, rng):
         # |cH|_F^2 overflows at c = 1e160 and |cH|_F does not
