@@ -32,55 +32,60 @@ to make room for the point. The records and the separators form one
 byte grid, whose NUL bytes one ``bytes.translate`` drops.
 """
 
+import functools
+from types import SimpleNamespace
+
 import numpy as np
 
 #: Numbers per formatted chunk of an array: the JSON and CSV writers hold
 #: the text and the work arrays of one chunk at a time, whatever the length.
 CHUNK_NUMBERS = 8192
 
-_POW10 = 10.0 ** np.arange(23)              # exact doubles
 _SPLIT = 134217729.0                        # 2^27 + 1, Veltkamp's constant
-_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
-_POW10_LO = _POW10 - _POW10_HI              # Dekker halves of _POW10
-# fl(10^j) for j = -4..16: above 10^j for j < 0, so a double x >= fl(10^j)
-# exactly when x >= 10^j
-_DECADES = 10.0 ** np.arange(-4, 17)
 _LOG10_2 = 0.30102999566398120
 _MANTISSA = np.uint64((1 << 52) - 1)
-# the four ASCII digits of 0..9999 in the low bytes of a little-endian word
-_QUADS = np.ascontiguousarray(
-    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
-).view("<u4").ravel().astype("<u8")
 
 
-def _record_masks(keep):
-    """A (3, n) uint64 table from an (n, 24) bool table: row w masks the
-    bytes kept in word w of a text record."""
-    return (keep.astype(np.uint8) * 0xFF).view("<u8").T.copy()
+@functools.cache
+def _tables():
+    """The lookup tables, built with numpy on first use, not at import."""
+    def masks(keep):
+        """(3, n) uint64 masks of the bytes an (n, 24) table keeps, by word."""
+        return (keep.astype(np.uint8) * 0xFF).view("<u8").T.copy()
+
+    pow10 = 10.0 ** np.arange(23)             # exact doubles
+    hi = pow10 * _SPLIT - (pow10 * _SPLIT - pow10)
+    # A number's text is a 24-byte record, three little-endian uint64 words:
+    # its first digit is byte 7, digits 2..17 bytes 8..23, and the sign and
+    # "0." or the point go in before them; NUL bytes are dropped at the end.
+    byte = np.arange(24)
+    q = np.arange(17)[:, None]          # q = e10 + 1 integer digits, 0 if none
+    return SimpleNamespace(
+        pow10=pow10, pow10_hi=hi, pow10_lo=pow10 - hi,    # Dekker halves
+        # fl(10^j) for j = -4..16: above 10^j for j < 0, so a double
+        # x >= fl(10^j) exactly when x >= 10^j
+        decades=10.0 ** np.arange(-4, 17),
+        # the four ASCII digits of 0..9999 in the low bytes of a word
+        quads=np.ascontiguousarray(
+            np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+        ).view("<u4").ravel().astype("<u8"),
+        # keep digits 1..L: keep[w, L] (the first digit is always kept)
+        keep=masks(byte < 7 + np.arange(18)[:, None]),
+        # the point after digit q >= 1: digits 1..q move one byte down,
+        # from the record shifted by a byte, and the point takes byte 6 + q
+        down=masks((byte < 6 + q) & (q > 0)),
+        stay=masks((byte > 6 + q) | (q == 0)),
+        point=(masks((byte == 6 + q) & (q > 0))
+               & np.uint64(int.from_bytes(b"." * 8, "little"))),
+        # the sign, and "0." and zeros for e10 < 0, in bytes 0..6:
+        # leads[5 * negative + 4 + min(e10, 0)]
+        leads=np.frombuffer(b"".join(
+            (sign + b"0." + b"0" * (-e - 1)).rjust(8, b"\0")[1:] + b"\0"
+            if e < 0 else sign.ljust(8, b"\0") for sign in (b"\0", b"-")
+            for e in range(-4, 1)), dtype="<u8"))
 
 
-# A number's text is a 24-byte record, three little-endian uint64 words:
-# its first digit is byte 7, digits 2..17 bytes 8..23, and the sign and
-# "0." or the point go in before them; NUL bytes are dropped at the end.
-_BYTES = np.arange(24)
-_Q = np.arange(17)[:, None]           # q = e10 + 1 integer digits, 0 if none
-# keep digits 1..L: _KEEP[w, L] (the first digit is always kept)
-_KEEP = _record_masks(_BYTES < 7 + np.arange(18)[:, None])
-# the point after digit q >= 1: digits 1..q move one byte down, from the
-# record shifted by a byte, and the point takes byte 6 + q
-_DOWN = _record_masks((_BYTES < 6 + _Q) & (_Q > 0))
-_STAY = _record_masks((_BYTES > 6 + _Q) | (_Q == 0))
-_POINT = (_record_masks((_BYTES == 6 + _Q) & (_Q > 0))
-          & np.uint64(int.from_bytes(b"." * 8, "little")))
-# the sign, and "0." and zeros for e10 < 0, in bytes 0..6:
-# _LEADS[5 * negative + 4 + min(e10, 0)]
-_LEADS = np.frombuffer(b"".join(
-    (sign + b"0." + b"0" * (-e - 1)).rjust(8, b"\0")[1:] + b"\0" if e < 0
-    else sign.ljust(8, b"\0") for sign in (b"\0", b"-")
-    for e in range(-4, 1)), dtype="<u8")
-
-
-def _scaled(x):
+def _scaled(x, tab):
     """X = x * 10^(16 - e10) of positive x in [1e-4, 1e15), exactly.
 
     Returns ``(whole, frac, half, e10)``: X = whole + frac with frac in
@@ -88,14 +93,14 @@ def _scaled(x):
     """
     binexp = (x.view(np.uint64) >> np.uint64(52)).astype(np.int64) - 1023
     e10 = np.floor(binexp * _LOG10_2).astype(np.int64)
-    e10 += x >= np.take(_DECADES, e10 + 5)
+    e10 += x >= np.take(tab.decades, e10 + 5)
     k = 16 - e10
-    p = np.take(_POW10, k)
+    p = np.take(tab.pow10, k)
     h = x * p                                  # Dekker: h + l == x * 10^k
     t = x * _SPLIT
     x_hi = t - (t - x)
     x_lo = x - x_hi
-    p_hi, p_lo = np.take(_POW10_HI, k), np.take(_POW10_LO, k)
+    p_hi, p_lo = np.take(tab.pow10_hi, k), np.take(tab.pow10_lo, k)
     l = ((x_hi * p_hi - h) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
     floor = np.floor(l)
     whole = h.astype(np.int64) + floor.astype(np.int64)
@@ -104,7 +109,7 @@ def _scaled(x):
     return whole, l - floor, half, e10         # l - floor: exact
 
 
-def _shortest(x):
+def _shortest(x, tab):
     """Shortest round-trip decimals of positive x in [1e-4, 1e15).
 
     Returns ``(digits, e10, count, inexact)``: each decimal as an integer
@@ -113,7 +118,7 @@ def _shortest(x):
     numbers whose decimal is a tie or on the rounding boundary, left to
     ``repr``.
     """
-    whole, frac, half, e10 = _scaled(x)
+    whole, frac, half, e10 = _scaled(x, tab)
 
     # the nearest multiples of 100 and of 10, and their distances to X
     hund = whole // 100
@@ -150,7 +155,7 @@ def _shortest(x):
     return digits, e10, count, inexact
 
 
-def _digit_words(digits, keep):
+def _digit_words(digits, keep, tab):
     """The text record words of integers of [0, 1e17) as 17 ASCII digits,
     the digits after the first ``keep`` ones cleared: three uint64 arrays."""
     high = digits // 10 ** 8
@@ -160,10 +165,10 @@ def _digit_words(digits, keep):
     words = [(top + ord("0")).astype("<u8") << np.uint64(56)]
     for group in (mid, low):
         head = group // 10000
-        words.append(np.take(_QUADS, head)
-                     | np.take(_QUADS, group - head * 10000) << np.uint64(32))
-    words[1] &= np.take(_KEEP[1], keep)
-    words[2] &= np.take(_KEEP[2], keep)
+        words.append(np.take(tab.quads, head)
+                     | np.take(tab.quads, group - head * 10000) << np.uint64(32))
+    words[1] &= np.take(tab.keep[1], keep)
+    words[2] &= np.take(tab.keep[2], keep)
     return words
 
 
@@ -179,25 +184,26 @@ def float_text(values, seps):
     count, period = len(x), len(seps)
     if not count:
         return ""
+    tab = _tables()
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e15) & (a.view(np.uint64) & _MANTISSA != 0)
-    digits, e10, n, inexact = _shortest(np.where(fast, a, 1.0))
+    digits, e10, n, inexact = _shortest(np.where(fast, a, 1.0), tab)
     zero = a == 0
     digits[zero] = 0              # the 1.0 put in its place reads "1.0"
     fallback = np.flatnonzero(~zero & (~fast | inexact))
     # the digits up to the last significant one, and up to the one after
     # the point (e10 + 2 <= 1 <= n when e10 < 0)
-    words = _digit_words(digits, np.maximum(n, e10 + 2))
+    words = _digit_words(digits, np.maximum(n, e10 + 2), tab)
     q = np.maximum(e10 + 1, 0)
     top = int(q.max())
     for w in range((6 + top) // 8 + 1 if top else 0):   # words up to a point
         down = words[w] >> np.uint64(8)
         if w < 2:
             down |= words[w + 1] << np.uint64(56)
-        words[w] = ((down & np.take(_DOWN[w], q))
-                    | (words[w] & np.take(_STAY[w], q))
-                    | np.take(_POINT[w], q))
-    words[0] |= np.take(_LEADS, 5 * np.signbit(x) + 4 + np.minimum(e10, 0))
+        words[w] = ((down & np.take(tab.down[w], q))
+                    | (words[w] & np.take(tab.stay[w], q))
+                    | np.take(tab.point[w], q))
+    words[0] |= np.take(tab.leads, 5 * np.signbit(x) + 4 + np.minimum(e10, 0))
 
     # one row per number: its record, then its separator; a number left to
     # repr holds "%r" instead, filled in by one % at the end

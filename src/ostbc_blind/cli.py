@@ -71,42 +71,32 @@ def _row_layout(shape):
     return "[" + pre, (between * shape[0])[:-1], post + "]"
 
 
-def _is_finite_float_array(obj):
-    """A non-empty float64 array of finite numbers; min and max hold no copy."""
-    return (isinstance(obj, np.ndarray) and obj.dtype == float and obj.ndim > 0
-            and obj.size > 0 and np.isfinite([obj.min(), obj.max()]).all())
-
-
-def _json_pieces(obj):
-    """The text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
-    with arrays as their ``tolist()``, in pieces.
-
-    A non-empty float64 array of finite numbers comes out a chunk of rows
-    at a time through :func:`_format_rows`; a non-empty dictionary key by
-    key, in sorted order. Everything else is one ``json.dumps`` call.
-    Dictionary keys must be strings.
-    """
-    if _is_finite_float_array(obj):
-        pre, seps, post = _row_layout(obj.shape[1:])
-        yield "[" + pre
-        yield from _format_rows(obj, seps + (post + "," + pre,))
-        yield post + "]"
-    elif isinstance(obj, dict) and obj:
-        sep = "{"
-        for key in sorted(obj):
-            yield f"{sep}{json.dumps(key)}:"
-            yield from _json_pieces(obj[key])
-            sep = ","
-        yield "}"
-    else:
-        yield json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                         default=np.ndarray.tolist)
-
-
 def _write_json(payload, path):
+    """Write ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``
+    and a newline, arrays as their ``tolist()``. Each value of a non-empty
+    dictionary that is a non-empty float64 array of finite numbers goes a
+    chunk of rows at a time through :func:`_format_rows`. Keys must be
+    strings.
+    """
+    style = dict(sort_keys=True, separators=(",", ":"),
+                 default=np.ndarray.tolist)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_pieces(payload))
-        fh.write("\n")
+        if not (isinstance(payload, dict) and payload):
+            fh.write(json.dumps(payload, **style) + "\n")
+            return
+        for i, key in enumerate(sorted(payload)):
+            fh.write(("," if i else "{") + json.dumps(key) + ":")
+            value = payload[key]
+            if (isinstance(value, np.ndarray) and value.dtype == float
+                    and value.ndim and value.size    # min, max: no copy
+                    and np.isfinite([value.min(), value.max()]).all()):
+                pre, seps, post = _row_layout(value.shape[1:])
+                fh.write("[" + pre)
+                fh.writelines(_format_rows(value, seps + (post + "," + pre,)))
+                fh.write(post + "]")
+            else:
+                fh.write(json.dumps(value, **style))
+        fh.write("}\n")
 
 
 def subspace_report(sub, hr):

@@ -69,6 +69,11 @@ class ConstellationModel(Record):
         return z @ root
 
 
+# Byte budget of the (2ML, 2ML) covariance R, checked before anything is
+# drawn: R is inherent to the estimator. 2**31 B hold 2ML up to 16384.
+MAX_R_BYTES = 2 ** 31
+
+
 class SimulationConfig(Record):
     """One reproducible link simulation: code, antennas, source, noise."""
 
@@ -84,6 +89,11 @@ class SimulationConfig(Record):
             raise ValueError(f"block count must be >= 1, got {self.J}")
         if self.M < 1:
             raise ValueError(f"receive-antenna count must be >= 1, got {self.M}")
+        rows = 2 * self.M * self.code.L
+        if rows * rows * 8 > MAX_R_BYTES:
+            raise ValueError(f"{self.M} receive antennas need a {rows} x "
+                             f"{rows} covariance of {rows * rows * 8} bytes, "
+                             f"above the budget of {MAX_R_BYTES} bytes")
         _check_noise_variance(self.sigma2)
 
 

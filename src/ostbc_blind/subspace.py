@@ -12,7 +12,7 @@ basis {I} + Hurwitz-Radon family.
 import numpy as np
 
 from ._record import Record
-from .embed import _check_tol, _kernels, vec
+from .embed import _check_tol, _kernels, underline, vec
 from .gamma import _channel_kernel_matrices, unit_gammas
 from .ostbc import _phi_t, build_A
 
@@ -121,10 +121,12 @@ def _channel_bases(code, unit, H0, tol):
     (T, dim, K, K) stack of Frobenius-orthonormal bases, or ``None`` when
     the dimensions differ. Each basis is the SVD's kernel columns
     reflected identity-first by :func:`_identity_first`, its other
-    elements sign-fixed. The cut max(tol, 32 K^2 eps) |H|_F decides each
-    channel's rank and bounds its kernel residuals; the first channel
-    that breaks a check raises :class:`SubspaceError`. H0 = I_N gives B*,
-    which equals B(H) for every H whose columns span C^N.
+    elements sign-fixed. Each channel is first scaled exactly by the power
+    of two that puts its largest real or imaginary part in [0.5, 1), so
+    2^j H gives the bits of H and nothing overflows. The cut max(tol,
+    32 K^2 eps) |H|_F of the scaled H decides its rank and bounds its
+    kernel residuals; the first channel that breaks a check raises
+    :class:`SubspaceError`. H0 = I_N gives B*.
     """
     if H0.shape[-2] != code.N:
         raise ValueError(
@@ -132,10 +134,11 @@ def _channel_bases(code, unit, H0, tol):
             f"code {code.name!r} expects {code.N}")
     if not H0.any(axis=(-2, -1)).all():
         raise ValueError("zero channel matrix is rejected")
+    scale = -np.frexp(np.abs(underline(H0)).max(axis=-1))[1][:, None, None]
+    H0 = np.ldexp(H0.real, scale) + 1j * np.ldexp(H0.imag, scale)
     K = code.K
-    # |H|_F by hypot, which does not overflow where the sum of squares does
     cut = (max(tol, RESIDUAL_ROUNDING * K * K * np.finfo(float).eps)
-           * np.hypot.reduce(np.abs(H0).reshape(len(H0), -1), axis=-1))
+           * np.linalg.norm(H0.reshape(len(H0), -1), axis=-1))
     ops = _channel_kernel_matrices(unit, H0)
     dims, span = _kernels(ops, cut)
     if span is None:

@@ -11,7 +11,7 @@ import pytest
 
 import ostbc_blind
 from ostbc_blind import builtin_code
-from ostbc_blind import cli, estimator, kyfan, subspace
+from ostbc_blind import _floattext, cli, estimator, kyfan, subspace
 from ostbc_blind.cli import main
 
 from oracles import (K1_1E13_JSON, K1_4E13_JSON, K2_MIXED_JSON, P0_JSON,
@@ -305,6 +305,25 @@ def test_cli_import_compiles_no_generated_code():
     assert out.stdout.strip() == "0"
 
 
+def test_float_tables_are_built_by_the_first_array_written(tmp_path,
+                                                           monkeypatch):
+    # Built at import, the formatter's tables cost every command about
+    # 0.5 MB of peak RSS.
+    probe = ("import ostbc_blind.cli, ostbc_blind._floattext as f; "
+             "print(f._tables.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], env=_python_env(),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
+    monkeypatch.chdir(tmp_path)
+    _floattext._tables.cache_clear()
+    assert main(["bstar", "--code", "alamouti", "--json", "b.json"]) == 0
+    assert _floattext._tables.cache_info().currsize == 0
+    assert main(["estimate", "--code", "alamouti", "--rx", "2", "--blocks",
+                 "10", "--sigma2", "0.01", "--seed", "1",
+                 "--json", "e.json"]) == 0
+    assert _floattext._tables.cache_info().currsize == 1
+
+
 def test_outputs_independent_of_blas_threads(tmp_path):
     runs = [
         ["bspace", "--code", "alamouti", "--rx", "64", "--seed", "3",
@@ -491,6 +510,19 @@ class TestHostileInput:
         self.assert_one_error(
             ["estimate", "--code", "alamouti", "--rx", "0", "--blocks", "10",
              "--sigma2", "0.1", "--seed", "1"], capsys, "receive-antenna count")
+
+    def test_covariance_above_the_budget(self, capsys, monkeypatch):
+        # alamouti at --rx 3: 2ML = 12 rows, a 1152-byte covariance
+        def simulate(config):
+            raise AssertionError("simulate ran")
+
+        monkeypatch.setattr(estimator, "MAX_R_BYTES", 1151)
+        monkeypatch.setattr(estimator, "simulate", simulate)
+        self.assert_one_error(
+            ["estimate", "--code", "alamouti", "--rx", "3", "--blocks", "10",
+             "--sigma2", "0.1", "--seed", "1"], capsys,
+            "3 receive antennas need a 12 x 12 covariance of 1152 bytes, "
+            "above the budget of 1151 bytes")
 
     def test_bspace_without_receive_antenna(self, capsys):
         self.assert_one_error(

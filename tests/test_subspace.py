@@ -180,11 +180,14 @@ class TestComputeBspace:
 
 
 class TestScaleInvariance:
-    """B(cH) = B(H): the rank cut and its rounding floor scale with H."""
+    """B(cH) = B(H): each channel is scaled by a power of two first."""
 
-    # |cH|_F^2 underflows at c = 1e-300 and 1e-170 and overflows at 1e155,
-    # where ChannelRealization still takes the channel
-    SCALES = (1e-300, 1e-170, 1e-150, 1e-8, 1e8, 1e150, 1e155)
+    # |cH|_F^2 underflows at c = 1e-300 and 1e-170 and overflows from 1e155
+    # on, and the kernel residuals once overflowed from 1e170 on
+    SCALES = (1e-300, 1e-170, 1e-150, 1e-8, 1e8, 1e150, 1e155, 1e170, 1e200,
+              1e300)
+    # powers of two scale exactly, so these give the bits of c = 1
+    EXACT_SCALES = (2.0 ** -1000, 2.0 ** -500, 2.0 ** 500, 2.0 ** 1000)
 
     @staticmethod
     def assert_same_space(got, want):
@@ -205,22 +208,55 @@ class TestScaleInvariance:
                                         ChannelRealization.from_matrix(c * H0))
                 self.assert_same_space(scaled.basis, sub.basis)
 
+    def assert_bit_identical(self, code, rng):
+        for M in range(1, code.N + 2):
+            H0 = draw_channel(code.N, M, rng).H0
+            stack = np.stack([H0] + [c * H0 for c in self.EXACT_SCALES])
+            _, mats = subspace._channel_bases(code, unit_gammas(code), stack,
+                                              1e-9)
+            for got in mats[1:]:
+                np.testing.assert_array_equal(got, mats[0])
+
     def test_every_code(self, any_code, rng):
         self.assert_scale_invariant(any_code, rng)
+        self.assert_bit_identical(any_code, rng)
 
     def test_channel_whose_squared_norm_overflows(self, any_code, rng):
-        # |cH|_F^2 overflows at c = 1e160 and |cH|_F does not
+        # |cH|_F^2 overflows at c = 1e160 and 1e300 and |cH|_F does not
         H0 = draw_channel(any_code.N, 1, rng).H0
         dims, mats = subspace._channel_bases(
-            any_code, unit_gammas(any_code), np.stack([H0, 1e160 * H0]), 1e-9)
-        assert dims[0] == dims[1]
-        self.assert_same_space(mats[1], mats[0])
+            any_code, unit_gammas(any_code),
+            np.stack([H0, 1e160 * H0, 1e300 * H0]), 1e-9)
+        assert (dims == dims[0]).all()
+        for got in mats[1:]:
+            self.assert_same_space(got, mats[0])
+
+    def test_channel_whose_entry_magnitude_overflows(self, any_code, rng):
+        # |1.5e308 (1 + i)| overflows and its parts do not
+        H0 = 1e300 * draw_channel(any_code.N, 2, rng).H0
+        H0[0, 0] = 1.5e308 * (1 + 1j)
+        _, mats = subspace._channel_bases(
+            any_code, unit_gammas(any_code),
+            np.stack([H0, H0 * 2.0 ** -1000]), 1e-9)
+        np.testing.assert_array_equal(mats[0], mats[1])
+
+    def test_channel_whose_largest_entry_is_subnormal(self, any_code, rng):
+        # 2.0**-e of its exponent e overflows; ldexp does not
+        for M in range(1, any_code.N + 2):
+            H0 = draw_channel(any_code.N, M, rng).H0
+            small = 1e-310 * H0
+            assert np.abs(small).max() < np.finfo(float).tiny
+            sub = compute_bspace(any_code, ChannelRealization.from_matrix(H0))
+            scaled = compute_bspace(any_code,
+                                    ChannelRealization.from_matrix(small))
+            assert scaled.dim == sub.dim
 
     @pytest.mark.parametrize("make", [
         real4x3, lambda: code_from_dict(json.loads(P0_JSON))],
         ids=["real4x3", "p0"])
     def test_code_with_a_transition_or_rounded_products(self, make, rng):
         self.assert_scale_invariant(make(), rng)
+        self.assert_bit_identical(make(), rng)
 
 
 def _scale_codes():
