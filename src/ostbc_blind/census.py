@@ -20,9 +20,9 @@ from ._floattext import CHUNK_NUMBERS
 from ._record import Record
 from .embed import vec
 from .estimator import _gaussian_channel
-from .gamma import unit_gammas
+from .gamma import _kernel_matrix_bytes, unit_gammas
 from .subspace import (RANK_TOL, SPAN_ANGLE_TOL, _angles, _channel_bases,
-                       compute_bstar)
+                       _check_kernel_budget, compute_bstar)
 
 # Byte budget of the channel kernel matrices of one stacked pass. The
 # census runs the trials at one antenna count in chunks of as many trials
@@ -57,7 +57,7 @@ class CensusResult(Record):
 
 def _chunk_trials(code, M):
     """Trials per stacked pass at M receive antennas, from CHUNK_BYTES."""
-    matrix_bytes = 2 * code.L * code.K * M * code.K ** 2 * 8
+    matrix_bytes = _kernel_matrix_bytes(code, M)
     # The budget does not count a trial's other arrays (its channel draw,
     # singular values, basis and angle work: about 140 B for scalar, whose
     # kernel matrix takes 16 B); for tiny codes they would dominate a pass,
@@ -86,7 +86,9 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
 
     The critical count is the smallest M at which every trial's subspace
     equals the invariant space (same dimension and all principal angles
-    within :data:`SPAN_ANGLE_TOL` = 1e-8 rad). Raises :class:`CensusError`
+    within :data:`SPAN_ANGLE_TOL` = 1e-8 rad). Raises ValueError, before
+    any channel is drawn, when the kernel pass of one channel at M_max
+    exceeds :data:`~.subspace.MAX_BYTES`. Raises :class:`CensusError`
     when the trials at one M disagree on the dimension (the message gives
     the observed histogram), or the dimension fails to be non-increasing,
     bounded below by the invariant dimension and equal to it at every
@@ -98,6 +100,7 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
         raise ValueError(f"M_max must be >= 1, got {M_max}")
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
+    _check_kernel_budget(code, M_max)
     bstar = compute_bstar(code, tol)
     unit = unit_gammas(code)
     qstar = vec(np.stack(bstar.basis)).T

@@ -22,7 +22,8 @@ from .ostbc import (BUILTIN_CODE_NAMES, VALIDATION_TOL, CodeFormatError,
                     CodeValidationError, builtin_code, load_code,
                     validate_code)
 from .subspace import (RANK_TOL, AmbiguityStructureError, SubspaceError,
-                       compute_bspace, compute_bstar, hr_basis)
+                       _check_kernel_budget, compute_bspace, compute_bstar,
+                       hr_basis)
 
 _ERRORS = (ValueError, KeyError, OSError, CodeFormatError, CodeValidationError,
            SubspaceError, AmbiguityStructureError, CensusError, KyFanError,
@@ -163,6 +164,7 @@ def cmd_bstar(args):
 
 def cmd_bspace(args):
     code = _resolve_code(args)
+    _check_kernel_budget(code, args.rx)
     rng = np.random.default_rng(args.seed)
     channel = draw_channel(code.N, args.rx, rng)
     sub = compute_bspace(code, channel, args.tol, seed=args.seed)

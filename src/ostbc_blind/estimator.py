@@ -19,8 +19,8 @@ import numpy as np
 from ._record import Record
 from .embed import _check_tol
 from .ostbc import ChannelRealization, _phi, _phi_t, build_A, realify
-from .subspace import (RANK_TOL, compute_bspace, lift_to_channel,
-                       principal_angles)
+from .subspace import (MAX_BYTES, RANK_TOL, compute_bspace,
+                       lift_to_channel, principal_angles)
 
 
 class ConstellationModel(Record):
@@ -69,11 +69,6 @@ class ConstellationModel(Record):
         return z @ root
 
 
-# Byte budget of the (2ML, 2ML) covariance R, checked before anything is
-# drawn: R is inherent to the estimator. 2**31 B hold 2ML up to 16384.
-MAX_R_BYTES = 2 ** 31
-
-
 class SimulationConfig(Record):
     """One reproducible link simulation: code, antennas, source, noise."""
 
@@ -90,10 +85,10 @@ class SimulationConfig(Record):
         if self.M < 1:
             raise ValueError(f"receive-antenna count must be >= 1, got {self.M}")
         rows = 2 * self.M * self.code.L
-        if rows * rows * 8 > MAX_R_BYTES:
+        if rows * rows * 8 > MAX_BYTES:
             raise ValueError(f"{self.M} receive antennas need a {rows} x "
                              f"{rows} covariance of {rows * rows * 8} bytes, "
-                             f"above the budget of {MAX_R_BYTES} bytes")
+                             f"above the budget of {MAX_BYTES} bytes")
         _check_noise_variance(self.sigma2)
 
 

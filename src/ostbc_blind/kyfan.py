@@ -191,13 +191,16 @@ def kyfan_sample_check(spec, samples, seed):
     """Sample random orthonormal-column matrices against the trace bound.
 
     Draws ``samples`` matrices, at most :data:`MAX_SAMPLES`, checks that
-    no trace exceeds value + 1e-12 |P|, and that every sample within
-    :data:`NEAR_TOL` of the maximum passes :func:`kyfan_membership` at its
-    default tolerance. Violations raise :class:`KyFanError`; the returned
-    report carries the summary. The draws come from one random stream in
-    batches of :data:`SAMPLE_ENTRIES` matrix entries, and each sample's
-    matrix and trace depend on its own draws alone, so the result has the
-    same bits for any batch size.
+    no trace exceeds bound = value + 1e-12 |P|, and that every sample
+    within :data:`NEAR_TOL` of the maximum passes :func:`kyfan_membership`.
+    A sample whose trace lies d below the bound has a column space within
+    sqrt(d / gap) of the maximizers', with gap the smaller eigen-gap at
+    either side of the boundary cluster, so that residual plus a rounding
+    slack of 1e-8 is its tolerance. Violations raise :class:`KyFanError`;
+    the returned report carries the summary. The draws come from one
+    random stream in batches of :data:`SAMPLE_ENTRIES` matrix entries, and
+    each sample's matrix and trace depend on its own draws alone, so the
+    result has the same bits for any batch size.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
@@ -207,6 +210,11 @@ def kyfan_sample_check(spec, samples, seed):
     rng = np.random.default_rng(seed)
     value = kyfan_value(spec)
     bound = value + 1e-12 * np.linalg.norm(spec.P)
+    lam = spec.eigenvalues
+    gaps = [lam[spec.q_minus - 1] - lam[spec.q - 1]] if spec.q_minus else []
+    if spec.q_plus < spec.m:
+        gaps.append(lam[spec.q - 1] - lam[spec.q_plus])
+    gap = min(gaps, default=np.inf)
     max_trace = -np.inf
     n_near = 0
     chunk = max(1, SAMPLE_ENTRIES // (spec.m * spec.q))
@@ -220,10 +228,12 @@ def kyfan_sample_check(spec, samples, seed):
                 f"sampled trace {max_trace:.15e} exceeds bound {bound:.15e}")
         near = np.flatnonzero(traces >= value - NEAR_TOL)
         for idx in near:
-            if not kyfan_membership(spec, batch[idx]):
+            tol = np.sqrt((bound - traces[idx]) / gap) + 1e-8
+            if not kyfan_membership(spec, batch[idx], tol):
                 raise KyFanError(
                     f"sample {start + idx} is within {NEAR_TOL} of the maximum "
-                    f"but fails the maximizer characterization")
+                    f"but fails the maximizer characterization at residual "
+                    f"tolerance {tol:.3e}")
         n_near += int(near.size)
     return KyFanSampleReport(spec.m, spec.q, samples, seed, value, float(bound),
                              max_trace, n_near, True)

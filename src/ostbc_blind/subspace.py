@@ -13,7 +13,8 @@ import numpy as np
 
 from ._record import Record
 from .embed import _check_tol, _kernels, underline, vec
-from .gamma import _channel_kernel_matrices, unit_gammas
+from .gamma import (_channel_kernel_matrices, _kernel_matrix_bytes,
+                    unit_gammas)
 from .ostbc import _phi_t, build_A
 
 RANK_TOL = 1e-9        # default tol: the rank cut is tol * |H|_F
@@ -26,6 +27,14 @@ SPAN_ANGLE_TOL = 1e-8  # radians: spans this close in every angle are equal
 # in units of K^2 * eps * |H|_F, the largest value to drop measured 1.62,
 # the largest residual 9.0, the smallest kept value 6.2e11.
 RESIDUAL_ROUNDING = 32
+# Byte budget of the largest array a command builds, checked before any
+# channel is drawn: the estimator's (2ML, 2ML) covariance, inherent to the
+# estimator (2**31 B hold 2ML up to 16384), or the kernel pass of one
+# channel, which peaks at 3.0-4.2 times the channel's kernel matrix
+# (tracemalloc, alamouti, alamouti-k3, real2 and scalar at M = 1024-16384)
+# and is counted as KERNEL_PASS_COPIES of it.
+MAX_BYTES = 2 ** 31
+KERNEL_PASS_COPIES = 5
 
 
 class SubspaceError(RuntimeError):
@@ -109,6 +118,17 @@ def _identity_first(span, K, resid_tol, error):
     taken = rows - 2 * w[..., None] * (w[:, None, :] @ rows)
     taken[:, 0] = u0
     return taken
+
+
+def _check_kernel_budget(code, M):
+    """Raise ValueError when the kernel pass of one channel with M receive
+    antennas needs more than :data:`MAX_BYTES`."""
+    matrix = _kernel_matrix_bytes(code, M)
+    if KERNEL_PASS_COPIES * matrix > MAX_BYTES:
+        raise ValueError(
+            f"{M} receive antennas make the kernel pass too large: "
+            f"{KERNEL_PASS_COPIES} times a kernel matrix of {matrix} bytes, "
+            f"above the budget of {MAX_BYTES} bytes")
 
 
 def _channel_bases(code, unit, H0, tol):

@@ -23,7 +23,9 @@ so it counts as its orthogonal projector.
 The check imports ``ostbc_blind`` wherever Python finds it, so it also
 runs against an installed package. ``--update`` needs the test oracles and
 the benchmark's workloads: the cli-mix and compute-mix command lines at
-benchmark seeds 1-3, each distinct line once.
+benchmark seeds 1-3, each distinct line once. The manifest is the one
+record of what the CLI prints and writes; each line that is not a
+benchmark line has the reason it is recorded beside it in ``_lines``.
 """
 
 import contextlib
@@ -174,6 +176,7 @@ def _code_files():
     def text(code):
         return json.dumps(oracles.code_to_dict(code))
 
+    header = {"name": "m", "N": 1, "L": 1, "K": 1}
     return {"rot3.json": text(oracles.rotated_alamouti(3)),
             "rot4.json": text(oracles.rotated_alamouti(4)),
             "real4x3.json": text(oracles.real4x3()),
@@ -182,7 +185,9 @@ def _code_files():
             "k1-1e-13.json": oracles.K1_1E13_JSON,
             "k1-4e-13.json": oracles.K1_4E13_JSON,
             "no-l.json": json.dumps({"name": "m", "N": 1, "K": 1,
-                                     "C": [[[[1.0, 0.0]]]]})}
+                                     "C": [[[[1.0, 0.0]]]]}),
+            "c-number.json": json.dumps(header | {"C": 5}),
+            "c-empty.json": json.dumps(header | {"C": [[]]})}
 
 
 def _lines():
@@ -193,6 +198,9 @@ def _lines():
     for workload in WORKLOADS:
         for seed in (1, 2, 3):
             lines += [list(c.args) for c in build_commands(workload, seed)]
+    # codes whose blocks have irrational entries (rotated Alamouti, K = 3
+    # and 4), whose invariant space needs M* = 2 (real4x3), or whose
+    # products round (p0, k2-mixed), on every subcommand
     for name in ("rot3.json", "rot4.json", "real4x3.json", "p0.json",
                  "k2-mixed.json"):
         code = ["--code-file", name]
@@ -206,6 +214,7 @@ def _lines():
             ["estimate", *code, "--rx", "3", "--blocks", "500", "--sigma2",
              "0.01", "--seed", "1", "--json", "e.json"],
         ]
+    # K = 1 codes whose unit error lies above the rank cut's rounding floor
     for name in ("k1-1e-13.json", "k1-4e-13.json"):
         code = ["--code-file", name]
         lines += [
@@ -217,14 +226,40 @@ def _lines():
              "0.01", "--seed", "1", "--json", "e.json"],
         ]
     lines += [
+        # the block dump, and the Gaussian constellation
         ["estimate", "--code", "alamouti-k3", "--rx", "2", "--blocks", "50",
          "--sigma2", "0.01", "--seed", "1", "--json", "e.json",
          "--dump-blocks", "blocks.csv"],
         ["estimate", "--code", "alamouti-k3", "--rx", "2", "--blocks", "500",
          "--sigma2", "0.01", "--seed", "2", "--constellation", "gaussian",
          "--json", "e.json"],
+        # a --tol or --seed out of range exits with status 1
         ["bstar", "--code", "alamouti", "--tol", "nan"],
         ["bspace", "--code", "alamouti", "--rx", "2", "--seed", "-1"],
+        # the subspace iteration goes past its first step on a simple top
+        # eigenvalue
+        ["estimate", "--code", "scalar", "--rx", "64", "--blocks", "2000",
+         "--sigma2", "10", "--seed", "3"],
+        # real4x3 reaches its invariant space at M* = 2, so a census that
+        # stops at M = 1 exits with status 1
+        ["census", "--code-file", "real4x3.json", "--rx-max", "1",
+         "--trials", "50", "--seed", "1"],
+        # alamouti-k2 mixed by random unitaries, whose products round, at
+        # a rank cut down to the rounding floor
+        ["census", "--code-file", "k2-mixed.json", "--rx-max", "3",
+         "--trials", "200", "--seed", "16", "--tol", "1e-15"],
+        # a 400000 x 400000 covariance exceeds the memory budget: exit
+        # status 1 and one error line before anything is drawn
+        ["estimate", "--code", "alamouti", "--rx", "100000", "--blocks", "10",
+         "--sigma2", "0.01", "--seed", "1"],
+        # sample 31575 lies 1.4e-10 below the maximum and 7.1e-6 off the
+        # maximizers, as far as that deficit allows
+        ["kyfan", "--m", "2", "--q", "1", "--samples", "40000", "--seed", "2",
+         "--json", "k.json"],
+        # a code file with no L, with a number for C or with an empty
+        # matrix in C fails validation with exit status 1
+        ["codes", "validate", "--code-file", "c-number.json"],
+        ["codes", "validate", "--code-file", "c-empty.json"],
         ["codes", "validate", "--code-file", "no-l.json"],
     ]
     return list(dict.fromkeys(map(tuple, lines)))

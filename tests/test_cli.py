@@ -11,7 +11,7 @@ import pytest
 
 import ostbc_blind
 from ostbc_blind import builtin_code
-from ostbc_blind import _floattext, cli, estimator, kyfan, subspace
+from ostbc_blind import _floattext, census, cli, estimator, kyfan, subspace
 from ostbc_blind.cli import main
 
 from oracles import (K1_1E13_JSON, K1_4E13_JSON, K2_MIXED_JSON, P0_JSON,
@@ -516,13 +516,41 @@ class TestHostileInput:
         def simulate(config):
             raise AssertionError("simulate ran")
 
-        monkeypatch.setattr(estimator, "MAX_R_BYTES", 1151)
+        monkeypatch.setattr(estimator, "MAX_BYTES", 1151)
         monkeypatch.setattr(estimator, "simulate", simulate)
         self.assert_one_error(
             ["estimate", "--code", "alamouti", "--rx", "3", "--blocks", "10",
              "--sigma2", "0.1", "--seed", "1"], capsys,
             "3 receive antennas need a 12 x 12 covariance of 1152 bytes, "
             "above the budget of 1151 bytes")
+
+    @pytest.mark.parametrize("argv", [
+        ["bspace", "--code", "alamouti", "--rx", "3", "--seed", "1"],
+        ["census", "--code", "alamouti", "--rx-max", "3", "--trials", "2",
+         "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_kernel_pass_above_the_budget(self, argv, capsys, monkeypatch):
+        # alamouti at --rx 3: a 48 x 16 kernel matrix of 6144 bytes, whose
+        # pass counts 5 times that, 30720 bytes
+        def draw(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(subspace, "MAX_BYTES", 30719)
+        monkeypatch.setattr(cli, "draw_channel", draw)
+        monkeypatch.setattr(census, "_gaussian_channel", draw)
+        self.assert_one_error(
+            argv, capsys, "3 receive antennas make the kernel pass too large: "
+            "5 times a kernel matrix of 6144 bytes, above the budget of "
+            "30719 bytes")
+
+    def test_kernel_pass_at_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(subspace, "MAX_BYTES", 30720)
+        for argv in (["bspace", "--code", "alamouti", "--rx", "3", "--seed",
+                      "1"],
+                     ["census", "--code", "alamouti", "--rx-max", "3",
+                      "--trials", "2", "--seed", "1"]):
+            status, captured = self.run_quiet(argv, capsys)
+            assert status == 0 and captured.err == ""
 
     def test_bspace_without_receive_antenna(self, capsys):
         self.assert_one_error(

@@ -192,7 +192,7 @@ class TestSimulate:
         # alamouti, L = 2: a (4M, 4M) covariance of 128 M^2 bytes
         code = builtin_code("alamouti")
         cm = ConstellationModel.iid_pm1(code.K)
-        monkeypatch.setattr(estimator, "MAX_R_BYTES", 128 * 9)
+        monkeypatch.setattr(estimator, "MAX_BYTES", 128 * 9)
         assert SimulationConfig(code, 3, cm, 1, 0.0, 1).M == 3
         with pytest.raises(ValueError, match=r"^4 receive antennas need a "
                            r"16 x 16 covariance of 2048 bytes, above the "

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
 from ostbc_blind import (build_A, builtin_code, compute_bspace, draw_channel,
                          lift_to_channel, overline, realify, underline,
                          unit_gammas, vec)
-from ostbc_blind.gamma import _channel_kernel_matrices
+from ostbc_blind.gamma import _channel_kernel_matrices, _kernel_matrix_bytes
 
 from oracles import gamma_factored, gamma_sums, kron, unit_gammas_loop
 
@@ -138,6 +139,12 @@ class TestChannelKernelMatrix:
         np.testing.assert_allclose(op @ vec(b),
                                    underline(gamma_sums(code, b) @ ch.H0),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [1, 3])
+    def test_byte_count(self, code, rng, M):
+        ch = draw_channel(code.N, M, rng)
+        op = _channel_kernel_matrices(unit_gammas(code), ch.H0)
+        assert op.nbytes == _kernel_matrix_bytes(code, M)
 
     def test_realified_block_action(self, code, rng):
         # (I_M (x) overline(block)) underline(H) = underline(block @ H), per block

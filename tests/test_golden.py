@@ -1,6 +1,23 @@
 import copy
 
+import pytest
+
 import golden
+
+# Command lines that the CI workflow once ran by hand, each with the exit
+# status it required; the manifest holds them now, so an update that drops
+# one or changes its status fails here.
+MOVED_FROM_CI = {
+    "estimate --code scalar --rx 64 --blocks 2000 --sigma2 10 --seed 3": 0,
+    "census --code-file real4x3.json --rx-max 1 --trials 50 --seed 1": 1,
+    "codes validate --code-file no-l.json": 1,
+    "codes validate --code-file c-number.json": 1,
+    "codes validate --code-file c-empty.json": 1,
+    "census --code-file k2-mixed.json --rx-max 3 --trials 200 --seed 16 "
+    "--tol 1e-15": 0,
+    "estimate --code alamouti --rx 100000 --blocks 10 --sigma2 0.01 "
+    "--seed 1": 1,
+}
 
 
 def test_recorded_outputs_are_reproduced():
@@ -27,3 +44,18 @@ def test_parsed_comparison_tolerates_only_the_last_bits():
         f"{' '.join(want['argv'])}: s.json numbers differ"]
     assert golden.compare(want, far, exact=True) == [
         f"{' '.join(want['argv'])}: stdout bytes differ"]
+
+
+def test_lines_moved_from_ci_keep_their_exit_status():
+    recorded = {" ".join(e["argv"]): e["status"]
+                for e in golden.load()["lines"]}
+    assert {line: recorded.get(line) for line in MOVED_FROM_CI} == MOVED_FROM_CI
+
+
+@pytest.mark.parametrize("line", [line for line, status
+                                  in MOVED_FROM_CI.items() if status])
+def test_lines_moved_from_ci_fail_in_one_error_line(line):
+    status, outputs = golden.run_line(line.split(), golden.load()["files"])
+    lines = outputs["stderr"].decode().splitlines()
+    assert status == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ")

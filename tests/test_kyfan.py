@@ -163,6 +163,17 @@ class TestSampleCheck:
                                              r"bound 1\.5\d*e\+00$"):
             kyfan_sample_check(low, 100, 1)
 
+    def test_near_sample_within_its_deficit_of_the_maximizers(self):
+        # The spectrum of `kyfan --m 2 --q 1 --seed 2`. Sample 31575 lies
+        # 1.39e-10 below the maximum across an eigen-gap of 2.79, so its
+        # column space is sqrt(1.39e-10 / 2.79) = 7.06e-6 off the top
+        # eigenvector: a maximizer to the precision of its trace, beyond a
+        # fixed residual tolerance of 1e-8.
+        g = np.random.default_rng([2, 0]).standard_normal((2, 2))
+        spec = SpectrumSpec.from_matrix((g + g.T) / 2, 1)
+        report = kyfan_sample_check(spec, 40000, [2, 1])
+        assert report.passed and report.n_near >= 1
+
     def test_rejects_bad_sample_count(self, rng):
         spec = spec_from_eigs(rng, [1.0, 0.0], 1)
         with pytest.raises(ValueError):
@@ -215,7 +226,7 @@ class TestChunkedSampling:
         chunk = batch_size(2, 2)
         calls = []
 
-        def fail_once(spec, Q):
+        def fail_once(spec, Q, tol):
             calls.append(Q)
             return len(calls) != chunk + 5
 

@@ -179,6 +179,17 @@ class TestComputeBspace:
             compute_bspace(alamouti, draw_channel(alamouti.N, 2, rng))
 
 
+class TestKernelBudget:
+    def test_largest_antenna_count(self, alamouti):
+        # alamouti: 2048 kernel-matrix bytes per antenna, 5 of them a pass
+        subspace._check_kernel_budget(alamouti, 209715)
+        with pytest.raises(ValueError, match=(
+                r"^209716 receive antennas make the kernel pass too large: "
+                r"5 times a kernel matrix of 429498368 bytes, above the "
+                r"budget of 2147483648 bytes$")):
+            subspace._check_kernel_budget(alamouti, 209716)
+
+
 class TestScaleInvariance:
     """B(cH) = B(H): each channel is scaled by a power of two first."""
 
