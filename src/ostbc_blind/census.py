@@ -19,15 +19,15 @@ import numpy as np
 from ._floattext import CHUNK_NUMBERS
 from ._record import Record
 from .embed import vec
-from .estimator import _gaussian_channel
-from .gamma import _kernel_matrix_bytes, unit_gammas
+from .estimator import _check_channel_draw, _gaussian_channel
+from .gamma import unit_gammas
 from .subspace import (RANK_TOL, SPAN_ANGLE_TOL, _angles, _channel_bases,
-                       _check_kernel_budget, compute_bstar)
+                       compute_bstar)
 
-# Byte budget of the channel kernel matrices of one stacked pass. The
-# census runs the trials at one antenna count in chunks of as many trials
-# as fit, so its memory stays bounded for any trial or antenna count; the
-# other arrays of a pass are a small multiple of these matrices.
+# Byte budget of the channel draws and kernel matrices of one stacked
+# pass. The census runs the trials at one antenna count in chunks of as
+# many trials as fit, so its memory stays bounded for any trial or antenna
+# count; the other arrays of a pass are a small multiple of these.
 CHUNK_BYTES = 1 << 22
 
 
@@ -56,13 +56,14 @@ class CensusResult(Record):
 
 
 def _chunk_trials(code, M):
-    """Trials per stacked pass at M receive antennas, from CHUNK_BYTES."""
-    matrix_bytes = _kernel_matrix_bytes(code, M)
-    # The budget does not count a trial's other arrays (its channel draw,
-    # singular values, basis and angle work: about 140 B for scalar, whose
-    # kernel matrix takes 16 B); for tiny codes they would dominate a pass,
-    # so a pass takes at most 1024 trials.
-    return max(1, min(CHUNK_BYTES // matrix_bytes, 1024))
+    """Trials per stacked pass at M receive antennas, from CHUNK_BYTES: a
+    trial's channel draw and its 2LK min(M, N) x K^2 kernel matrix."""
+    trial_bytes = (_check_channel_draw(code.N, M)
+                   + 16 * code.L * code.K ** 3 * min(M, code.N))
+    # The budget does not count a trial's other arrays (singular values,
+    # basis and angle work); for tiny codes they would dominate a pass, so
+    # a pass takes at most 1024 trials.
+    return max(1, min(CHUNK_BYTES // trial_bytes, 1024))
 
 
 def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
@@ -87,8 +88,8 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
     The critical count is the smallest M at which every trial's subspace
     equals the invariant space (same dimension and all principal angles
     within :data:`SPAN_ANGLE_TOL` = 1e-8 rad). Raises ValueError, before
-    any channel is drawn, when the kernel pass of one channel at M_max
-    exceeds :data:`~.subspace.MAX_BYTES`. Raises :class:`CensusError`
+    any channel is drawn, when the draw of one channel at M_max exceeds
+    :data:`~.subspace.MAX_BYTES`. Raises :class:`CensusError`
     when the trials at one M disagree on the dimension (the message gives
     the observed histogram), or the dimension fails to be non-increasing,
     bounded below by the invariant dimension and equal to it at every
@@ -100,7 +101,7 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
         raise ValueError(f"M_max must be >= 1, got {M_max}")
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
-    _check_kernel_budget(code, M_max)
+    _check_channel_draw(code.N, M_max)
     bstar = compute_bstar(code, tol)
     unit = unit_gammas(code)
     qstar = vec(np.stack(bstar.basis)).T

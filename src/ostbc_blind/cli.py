@@ -21,9 +21,8 @@ from .kyfan import (MAX_SAMPLES, KyFanError, SpectrumSpec,
 from .ostbc import (BUILTIN_CODE_NAMES, VALIDATION_TOL, CodeFormatError,
                     CodeValidationError, builtin_code, load_code,
                     validate_code)
-from .subspace import (RANK_TOL, AmbiguityStructureError, SubspaceError,
-                       _check_kernel_budget, compute_bspace, compute_bstar,
-                       hr_basis)
+from .subspace import (MAX_BYTES, RANK_TOL, AmbiguityStructureError,
+                       SubspaceError, compute_bspace, compute_bstar, hr_basis)
 
 _ERRORS = (ValueError, KeyError, OSError, CodeFormatError, CodeValidationError,
            SubspaceError, AmbiguityStructureError, CensusError, KyFanError,
@@ -164,7 +163,6 @@ def cmd_bstar(args):
 
 def cmd_bspace(args):
     code = _resolve_code(args)
-    _check_kernel_budget(code, args.rx)
     rng = np.random.default_rng(args.seed)
     channel = draw_channel(code.N, args.rx, rng)
     sub = compute_bspace(code, channel, args.tol, seed=args.seed)
@@ -228,6 +226,15 @@ def cmd_estimate(args):
 def cmd_kyfan(args):
     if args.m < 1:
         raise ValueError(f"--m must be a positive matrix size, got {args.m}")
+    if not 1 <= args.q <= args.m:
+        raise ValueError(f"q must lie in [1, {args.m}], got {args.q}")
+    # the spectrum holds about five m x m arrays: the draw, P, P - P^T,
+    # (P + P^T)/2 and the eigenvectors (with their reversed copy)
+    nbytes = 5 * 8 * args.m * args.m
+    if nbytes > MAX_BYTES:
+        raise ValueError(f"--m {args.m} needs about {nbytes} bytes for five "
+                         f"{args.m} x {args.m} arrays, above the budget of "
+                         f"{MAX_BYTES} bytes")
     rng = np.random.default_rng([args.seed, 0])
     g = rng.standard_normal((args.m, args.m))
     spec = SpectrumSpec.from_matrix((g + g.T) / 2, args.q)

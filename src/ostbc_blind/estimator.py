@@ -123,12 +123,24 @@ def _gaussian_channel(N, M, rng, count=None):
     real parts first, so a stack of count draws holds the bits of count
     single draws however the draws are split into stacks.
     """
-    if M < 1:
-        raise ValueError(f"receive-antenna count must be >= 1, got {M}")
+    _check_channel_draw(N, M)
     g = rng.standard_normal((2, N, M) if count is None else (count, 2, N, M))
     H0 = g[..., 0, :, :] + 1j * g[..., 1, :, :]
     H0 *= np.sqrt(0.5)
     return H0
+
+
+def _check_channel_draw(N, M):
+    """Peak bytes of drawing one (N, M) channel, three arrays of 16 N M
+    bytes; ValueError when M < 1 or they exceed the budget."""
+    if M < 1:
+        raise ValueError(f"receive-antenna count must be >= 1, got {M}")
+    nbytes = 48 * N * M
+    if nbytes > MAX_BYTES:
+        raise ValueError(f"{M} receive antennas need {nbytes} bytes to draw "
+                         f"a {N} x {M} channel, above the budget of "
+                         f"{MAX_BYTES} bytes")
+    return nbytes
 
 
 def theoretical_R(rc, h0, cm, sigma2):

@@ -51,9 +51,3 @@ def _channel_kernel_matrices(unit, H0):
     """
     return underline(unit @ H0[..., None, :, :]).swapaxes(-1, -2)
 
-
-def _kernel_matrix_bytes(code, M):
-    """Bytes of the float64 (2*L*K*M, K^2) matrix that
-    :func:`_channel_kernel_matrices` builds for one channel with M receive
-    antennas."""
-    return 2 * code.L * code.K * M * code.K ** 2 * 8

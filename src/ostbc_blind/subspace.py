@@ -13,8 +13,7 @@ import numpy as np
 
 from ._record import Record
 from .embed import _check_tol, _kernels, underline, vec
-from .gamma import (_channel_kernel_matrices, _kernel_matrix_bytes,
-                    unit_gammas)
+from .gamma import _channel_kernel_matrices, unit_gammas
 from .ostbc import _phi_t, build_A
 
 RANK_TOL = 1e-9        # default tol: the rank cut is tol * |H|_F
@@ -25,16 +24,14 @@ SPAN_ANGLE_TOL = 1e-8  # radians: spans this close in every angle are equal
 # scales with H and never cancels; for K = 1 the matrix is rounding noise.
 # Over 20000 channels per M = 1..N+1 on builtin, rotated and mixed codes,
 # in units of K^2 * eps * |H|_F, the largest value to drop measured 1.62,
-# the largest residual 9.0, the smallest kept value 6.2e11.
+# the largest residual 9.0, the smallest kept value 6.2e11; past N, through
+# the factor at M = N+1..N+3 and 64: 1.52, 7.8 and 1.6e13.
 RESIDUAL_ROUNDING = 32
-# Byte budget of the largest array a command builds, checked before any
-# channel is drawn: the estimator's (2ML, 2ML) covariance, inherent to the
-# estimator (2**31 B hold 2ML up to 16384), or the kernel pass of one
-# channel, which peaks at 3.0-4.2 times the channel's kernel matrix
-# (tracemalloc, alamouti, alamouti-k3, real2 and scalar at M = 1024-16384)
-# and is counted as KERNEL_PASS_COPIES of it.
+# Byte budget of the largest array a command builds, checked before it is
+# allocated: the estimator's (2ML, 2ML) covariance (2**31 B hold 2ML up
+# to 16384), the draw of one channel, the one array of bspace and the
+# census that grows with M, or kyfan's m x m matrices.
 MAX_BYTES = 2 ** 31
-KERNEL_PASS_COPIES = 5
 
 
 class SubspaceError(RuntimeError):
@@ -120,17 +117,6 @@ def _identity_first(span, K, resid_tol, error):
     return taken
 
 
-def _check_kernel_budget(code, M):
-    """Raise ValueError when the kernel pass of one channel with M receive
-    antennas needs more than :data:`MAX_BYTES`."""
-    matrix = _kernel_matrix_bytes(code, M)
-    if KERNEL_PASS_COPIES * matrix > MAX_BYTES:
-        raise ValueError(
-            f"{M} receive antennas make the kernel pass too large: "
-            f"{KERNEL_PASS_COPIES} times a kernel matrix of {matrix} bytes, "
-            f"above the budget of {MAX_BYTES} bytes")
-
-
 def _channel_bases(code, unit, H0, tol):
     """Ambiguity-space bases of a stack of channel matrices H0, (T, N, M).
 
@@ -146,7 +132,10 @@ def _channel_bases(code, unit, H0, tol):
     2^j H gives the bits of H and nothing overflows. The cut max(tol,
     32 K^2 eps) |H|_F of the scaled H decides its rank and bounds its
     kernel residuals; the first channel that breaks a check raises
-    :class:`SubspaceError`. H0 = I_N gives B*.
+    :class:`SubspaceError`. Past N antennas the kernel matrix is that of
+    the N x N factor R^T of H = R^T Q^T (a stacked QR of H^T): Q^T has
+    orthonormal rows, so both have the same kernel and singular values.
+    H0 = I_N gives B*.
     """
     if H0.shape[-2] != code.N:
         raise ValueError(
@@ -159,6 +148,8 @@ def _channel_bases(code, unit, H0, tol):
     K = code.K
     cut = (max(tol, RESIDUAL_ROUNDING * K * K * np.finfo(float).eps)
            * np.linalg.norm(H0.reshape(len(H0), -1), axis=-1))
+    if H0.shape[-1] > code.N:
+        H0 = np.linalg.qr(H0.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
     ops = _channel_kernel_matrices(unit, H0)
     dims, span = _kernels(ops, cut)
     if span is None:

@@ -252,6 +252,17 @@ def _lines():
         # status 1 and one error line before anything is drawn
         ["estimate", "--code", "alamouti", "--rx", "100000", "--blocks", "10",
          "--sigma2", "0.01", "--seed", "1"],
+        # past N antennas the kernel matrix is built from the channel's
+        # N x N triangular factor, so a million antennas take one 32 MB
+        # channel, not a 2 GB kernel matrix
+        ["bspace", "--code", "alamouti", "--rx", "1000000", "--seed", "1",
+         "--json", "s.json"],
+        # drawing a 2 x 22369622 channel peaks above the memory budget:
+        # exit status 1 and one error line before anything is drawn
+        ["bspace", "--code", "alamouti", "--rx", "22369622", "--seed", "1"],
+        # a census far past N, whose JSON holds only integers
+        ["census", "--code", "alamouti", "--rx-max", "32", "--trials", "50",
+         "--seed", "1", "--json", "c.json"],
         # sample 31575 lies 1.4e-10 below the maximum and 7.1e-6 off the
         # maximizers, as far as that deficit allows
         ["kyfan", "--m", "2", "--q", "1", "--samples", "40000", "--seed", "2",

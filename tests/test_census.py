@@ -90,8 +90,7 @@ class TestDimensionCensus:
             self, alamouti, monkeypatch):
         # two trials per pass; the second of three passes at M=1 reports
         # one dimension more, in agreement within its own pass
-        monkeypatch.setattr(census, "CHUNK_BYTES",
-                            2 * kernel_matrix_bytes(alamouti, 1))
+        monkeypatch.setattr(census, "CHUNK_BYTES", 2 * trial_bytes(alamouti, 1))
         original = census._channel_bases
         passes = []
 
@@ -198,9 +197,13 @@ def as_rows(dims, angles):
             for trial, (dim, angle) in enumerate(zip(row_d, row_a))]
 
 
-def kernel_matrix_bytes(code, M):
-    return _channel_kernel_matrices(unit_gammas(code),
-                                    np.ones((code.N, M))).nbytes
+def trial_bytes(code, M):
+    """Bytes of one census trial: its channel draw, which peaks at three
+    arrays of 16 N M bytes, and its kernel matrix, built from at most N
+    columns."""
+    kernel = _channel_kernel_matrices(unit_gammas(code),
+                                      np.ones((code.N, min(M, code.N))))
+    return 3 * 16 * code.N * M + kernel.nbytes
 
 
 class TestBatchedCensus:
@@ -238,10 +241,10 @@ class TestBatchedCensus:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundaries(self, code, monkeypatch, offset):
-        # Budget for 8 trials at M=1, so 4 at M=2 and 2 at M=3.
-        monkeypatch.setattr(census, "CHUNK_BYTES",
-                            8 * kernel_matrix_bytes(code, 1))
-        assert [census._chunk_trials(code, M) for M in (1, 2, 3)] == [8, 4, 2]
+        # Budget for 4 trials at M=2, so more at M=1 and fewer at M=3.
+        monkeypatch.setattr(census, "CHUNK_BYTES", 4 * trial_bytes(code, 2))
+        chunks = [census._chunk_trials(code, M) for M in (1, 2, 3)]
+        assert chunks[0] > chunks[1] == 4 > chunks[2] >= 2, chunks
         trials = 4 + offset
         result = find_mstar(code, 3, trials, seed=17)
         oracle = census_records_per_trial(code, 3, trials, seed=17)
@@ -260,9 +263,16 @@ class TestBatchedCensus:
         # B*: its kernel; per M: the kernels and the two angle steps.
         assert len(calls) <= 1 + 3 * 4, calls
 
+    def test_chunk_counts_the_draw_and_the_factor_matrix(self, alamouti):
+        # alamouti (N = 2, L = 2, K = 4) at M = 64: a 6144-byte draw and a
+        # 32 x 16 kernel matrix of 4096 bytes, the size it has at any M >= N
+        assert census._chunk_trials(alamouti, 64) == (1 << 22) // 10240
+        assert census._chunk_trials(alamouti, 1) == 1024
+        assert census._chunk_trials(alamouti, 2 ** 16) == 1
+
     def test_memory_bounded_by_chunk(self, alamouti, monkeypatch):
         monkeypatch.setattr(census, "CHUNK_BYTES",
-                            64 * kernel_matrix_bytes(alamouti, 1))
+                            64 * trial_bytes(alamouti, 1))
         chunk = census._chunk_trials(alamouti, 1)
         assert chunk == 64
 
@@ -370,7 +380,7 @@ class TestOutputs:
         if chunked:
             # two trials per pass at M=1 and one at every larger M
             monkeypatch.setattr(census, "CHUNK_BYTES",
-                                2 * kernel_matrix_bytes(code, 1))
+                                2 * trial_bytes(code, 1))
             assert census._chunk_trials(code, 1) == 2
         M_max, trials = code.N + 1, 5
         path = tmp_path / "census.csv"

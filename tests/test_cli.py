@@ -524,33 +524,69 @@ class TestHostileInput:
             "3 receive antennas need a 12 x 12 covariance of 1152 bytes, "
             "above the budget of 1151 bytes")
 
+    @staticmethod
+    def no_draws(monkeypatch):
+        """Make every random draw fail the test."""
+        class NoDraws:
+            def standard_normal(self, *args):
+                raise AssertionError("a random matrix was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
+
     @pytest.mark.parametrize("argv", [
         ["bspace", "--code", "alamouti", "--rx", "3", "--seed", "1"],
         ["census", "--code", "alamouti", "--rx-max", "3", "--trials", "2",
          "--seed", "1"],
     ], ids=lambda argv: argv[0])
-    def test_kernel_pass_above_the_budget(self, argv, capsys, monkeypatch):
-        # alamouti at --rx 3: a 48 x 16 kernel matrix of 6144 bytes, whose
-        # pass counts 5 times that, 30720 bytes
-        def draw(*args):
-            raise AssertionError("a channel was drawn")
-
-        monkeypatch.setattr(subspace, "MAX_BYTES", 30719)
-        monkeypatch.setattr(cli, "draw_channel", draw)
-        monkeypatch.setattr(census, "_gaussian_channel", draw)
+    def test_channel_draw_above_the_budget(self, argv, capsys, monkeypatch):
+        # alamouti at --rx 3: the draw of a 2 x 3 channel peaks at
+        # 3 * 16 * 2 * 3 = 288 bytes
+        monkeypatch.setattr(estimator, "MAX_BYTES", 287)
+        self.no_draws(monkeypatch)
         self.assert_one_error(
-            argv, capsys, "3 receive antennas make the kernel pass too large: "
-            "5 times a kernel matrix of 6144 bytes, above the budget of "
-            "30719 bytes")
+            argv, capsys, "3 receive antennas need 288 bytes to draw a 2 x 3 "
+            "channel, above the budget of 287 bytes")
 
-    def test_kernel_pass_at_the_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(subspace, "MAX_BYTES", 30720)
+    def test_channel_draw_at_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(estimator, "MAX_BYTES", 288)
         for argv in (["bspace", "--code", "alamouti", "--rx", "3", "--seed",
                       "1"],
                      ["census", "--code", "alamouti", "--rx-max", "3",
                       "--trials", "2", "--seed", "1"]):
             status, captured = self.run_quiet(argv, capsys)
             assert status == 0 and captured.err == ""
+
+    def test_kyfan_matrix_above_the_budget(self, capsys, monkeypatch):
+        # five 20000 x 20000 float arrays: 16 GB, refused before the draw
+        self.no_draws(monkeypatch)
+        self.assert_one_error(
+            ["kyfan", "--m", "20000", "--q", "1", "--seed", "1"], capsys,
+            "--m 20000 needs about 16000000000 bytes for five 20000 x 20000 "
+            "arrays, above the budget of 2147483648 bytes")
+        # 7327 is the largest m within the budget: it gets to the draw
+        with pytest.raises(AssertionError, match="was drawn"):
+            main(["kyfan", "--m", "7327", "--q", "1", "--seed", "1"])
+        self.assert_one_error(
+            ["kyfan", "--m", "7328", "--q", "1", "--seed", "1"], capsys,
+            "above the budget of 2147483648 bytes")
+
+    def test_kyfan_matrix_at_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_BYTES", 5 * 8 * 6 * 6)
+        status, captured = self.run_quiet(
+            ["kyfan", "--m", "6", "--q", "3", "--seed", "1", "--samples",
+             "100"], capsys)
+        assert status == 0 and captured.err == ""
+        monkeypatch.setattr(cli, "MAX_BYTES", 5 * 8 * 6 * 6 - 1)
+        self.assert_one_error(
+            ["kyfan", "--m", "6", "--q", "3", "--seed", "1"], capsys,
+            "--m 6 needs about 1440 bytes for five 6 x 6 arrays, above the "
+            "budget of 1439 bytes")
+
+    @pytest.mark.parametrize("q", ["0", "5"])
+    def test_kyfan_column_count_out_of_range(self, q, capsys, monkeypatch):
+        self.no_draws(monkeypatch)
+        self.assert_one_error(["kyfan", "--m", "4", "--q", q, "--seed", "1"],
+                              capsys, f"q must lie in [1, 4], got {q}")
 
     def test_bspace_without_receive_antenna(self, capsys):
         self.assert_one_error(
@@ -644,21 +680,24 @@ class TestHostileInput:
             status, captured = self.run_quiet(argv, capsys)
             assert status == 0 and captured.err == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["census", "--code", "scalar", "--rx-max", "1", "--trials",
-         "1000000000000000000", "--seed", "1"],
-        ["kyfan", "--m", "1000000000", "--q", "1", "--seed", "1"],
-    ], ids=lambda argv: argv[0])
-    def test_allocation_beyond_any_address_space(self, argv, capsys):
-        # each asks for 8e18 bytes (6.94 EiB), which no 64-bit host can map,
-        # so the allocation fails at once
-        self.assert_one_error(argv, capsys, "Unable to allocate 6.94 EiB")
+    @pytest.mark.parametrize("argv, needle", [
+        # 8e18 bytes (6.94 EiB), which no 64-bit host can map, so the
+        # allocation fails at once
+        pytest.param(["census", "--code", "scalar", "--rx-max", "1",
+                      "--trials", "1000000000000000000", "--seed", "1"],
+                     "Unable to allocate 6.94 EiB", id="census"),
+        # its 8e18-byte draw is refused against the budget before it is made
+        pytest.param(["kyfan", "--m", "1000000000", "--q", "1", "--seed", "1"],
+                     "above the budget of 2147483648 bytes", id="kyfan"),
+    ])
+    def test_allocation_beyond_any_address_space(self, argv, needle, capsys):
+        self.assert_one_error(argv, capsys, needle)
 
     def test_antenna_count_beyond_any_index(self, capsys):
         self.assert_one_error(
             ["census", "--code", "alamouti", "--rx-max",
              "100000000000000000000", "--trials", "1", "--seed", "1"],
-            capsys, "too large")
+            capsys, "above the budget of 2147483648 bytes")
 
     def test_header_beyond_any_integer(self, tmp_path, capsys):
         text = json.dumps(code_to_dict(builtin_code("alamouti")))

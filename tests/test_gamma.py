@@ -4,7 +4,8 @@ import pytest
 from ostbc_blind import (build_A, builtin_code, compute_bspace, draw_channel,
                          lift_to_channel, overline, realify, underline,
                          unit_gammas, vec)
-from ostbc_blind.gamma import _channel_kernel_matrices, _kernel_matrix_bytes
+from ostbc_blind import subspace
+from ostbc_blind.gamma import _channel_kernel_matrices
 
 from oracles import gamma_factored, gamma_sums, kron, unit_gammas_loop
 
@@ -141,10 +142,19 @@ class TestChannelKernelMatrix:
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("M", [1, 3])
-    def test_byte_count(self, code, rng, M):
-        ch = draw_channel(code.N, M, rng)
-        op = _channel_kernel_matrices(unit_gammas(code), ch.H0)
-        assert op.nbytes == _kernel_matrix_bytes(code, M)
+    def test_byte_count(self, code, rng, M, monkeypatch):
+        # the kernel pass builds 2 L K min(M, N) x K^2 floats per channel,
+        # the size the census sizes its passes by
+        built = []
+
+        def recording(unit, H0):
+            built.append(_channel_kernel_matrices(unit, H0))
+            return built[-1]
+
+        monkeypatch.setattr(subspace, "_channel_kernel_matrices", recording)
+        compute_bspace(code, draw_channel(code.N, M, rng))
+        [op] = built
+        assert op.nbytes == 2 * code.L * code.K ** 3 * min(M, code.N) * 8
 
     def test_realified_block_action(self, code, rng):
         # (I_M (x) overline(block)) underline(H) = underline(block @ H), per block

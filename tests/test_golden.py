@@ -19,6 +19,13 @@ MOVED_FROM_CI = {
     "--seed 1": 1,
 }
 
+# Command lines at either side of the channel-draw budget that bounds
+# bspace and the census, each with the exit status it requires.
+CHANNEL_BUDGET = {
+    "bspace --code alamouti --rx 1000000 --seed 1 --json s.json": 0,
+    "bspace --code alamouti --rx 22369622 --seed 1": 1,
+}
+
 
 def test_recorded_outputs_are_reproduced():
     manifest = golden.load()
@@ -59,3 +66,15 @@ def test_lines_moved_from_ci_fail_in_one_error_line(line):
     lines = outputs["stderr"].decode().splitlines()
     assert status == 1
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_channel_budget_lines_keep_their_exit_status():
+    recorded = {" ".join(e["argv"]): e["status"]
+                for e in golden.load()["lines"]}
+    assert ({line: recorded.get(line) for line in CHANNEL_BUDGET}
+            == CHANNEL_BUDGET)
+    [line] = [line for line, status in CHANNEL_BUDGET.items() if status]
+    status, outputs = golden.run_line(line.split(), {})
+    assert outputs["stderr"].decode().splitlines() == [
+        "error: 22369622 receive antennas need 2147483712 bytes to draw a "
+        "2 x 22369622 channel, above the budget of 2147483648 bytes"]

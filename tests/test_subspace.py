@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from ostbc_blind import (BUILTIN_CODE_NAMES, AmbiguityStructureError,
                          compute_bspace, compute_bstar, draw_channel, hr_basis,
                          lift_to_channel, principal_angles, realify, rho,
                          spans_match, subspace, unit_gammas, vec)
+from ostbc_blind.estimator import _check_channel_draw
 from ostbc_blind.gamma import _channel_kernel_matrices
 
-from oracles import (P0_JSON, lift_kron, mp_principal_angles,
-                     random_transform, real4x3, rotated_alamouti)
+from oracles import (K2_MIXED_JSON, P0_JSON, exact_channel_dim, gamma_sums,
+                     lift_kron, mp_principal_angles, random_transform,
+                     real4x3, rotated_alamouti)
 
 EXPECTED_BSTAR_DIM = {
     "alamouti": 4,
@@ -180,14 +183,86 @@ class TestComputeBspace:
 
 
 class TestKernelBudget:
-    def test_largest_antenna_count(self, alamouti):
-        # alamouti: 2048 kernel-matrix bytes per antenna, 5 of them a pass
-        subspace._check_kernel_budget(alamouti, 209715)
+    def test_largest_antenna_count(self):
+        # N = 2: the draw peaks at 3 * 16 * 2 = 96 bytes per antenna
+        assert _check_channel_draw(2, 22369621) == 2147483616
         with pytest.raises(ValueError, match=(
-                r"^209716 receive antennas make the kernel pass too large: "
-                r"5 times a kernel matrix of 429498368 bytes, above the "
-                r"budget of 2147483648 bytes$")):
-            subspace._check_kernel_budget(alamouti, 209716)
+                r"^22369622 receive antennas need 2147483712 bytes to draw a "
+                r"2 x 22369622 channel, above the budget of 2147483648 "
+                r"bytes$")):
+            _check_channel_draw(2, 22369622)
+
+
+FACTOR_CODES = {name: builtin_code(name) for name in BUILTIN_CODE_NAMES} | {
+    "real4x3": real4x3(),
+    "rot3": rotated_alamouti(3),
+    "rot4": rotated_alamouti(4),
+    "k2-mixed": code_from_dict(json.loads(K2_MIXED_JSON)),
+}
+# codes with Gaussian-integer entries, which the sympy oracle reads exactly
+EXACT_CODES = set(BUILTIN_CODE_NAMES) | {"real4x3"}
+
+
+class TestTriangularFactor:
+    """Past N antennas each kernel matrix is built from the N x N factor of
+    the channel, and gives the kernel of the channel's own matrix."""
+
+    @pytest.mark.parametrize("name", sorted(FACTOR_CODES))
+    @pytest.mark.parametrize("extra", [1, 2, None], ids=["N+1", "N+2", "64"])
+    def test_matches_the_uncompressed_kernel(self, name, extra, monkeypatch):
+        code = FACTOR_CODES[name]
+        K, M = code.K, 64 if extra is None else code.N + extra
+        built = []
+
+        def recording(unit, H0):
+            built.append(_channel_kernel_matrices(unit, H0))
+            return built[-1]
+
+        monkeypatch.setattr(subspace, "_channel_kernel_matrices", recording)
+        rng = np.random.default_rng([7, M])
+        channels = [draw_channel(code.N, M, rng) for _ in range(3)]
+        # columns that span one dimension only, whatever M: B(H) is then
+        # the space of one column, which the factor must keep
+        column, row = draw_channel(code.N, 1, rng).H0, rng.standard_normal(M)
+        channels.append(ChannelRealization.from_matrix(column * row))
+        for channel in channels:
+            sub = compute_bspace(code, channel)
+            assert built[-1].shape == (1, 2 * code.L * K * code.N, K * K)
+            # the channel's own 2LKM x K^2 kernel matrix, cut at the same
+            # max(tol, 32 K^2 eps) |H|_F
+            H = channel.H0
+            cut = (max(subspace.RANK_TOL, 32 * K * K * np.finfo(float).eps)
+                   * np.linalg.norm(H))
+            ops = _channel_kernel_matrices(unit_gammas(code), H)
+            _, s, vh = np.linalg.svd(ops, full_matrices=False)
+            rank = np.count_nonzero(s > cut)
+            assert sub.dim == K * K - rank
+            full = [v.reshape((K, K), order="F") for v in vh[rank:]]
+            assert np.max(principal_angles(sub.basis, full)) <= 1e-12
+            for b in sub.basis:
+                assert np.linalg.norm(gamma_sums(code, b) @ H) <= cut
+        if name in EXACT_CODES and extra == 1:
+            generic = compute_bspace(code, channels[0]).dim
+            assert generic == exact_channel_dim(code, seed=M, M=M)
+
+
+class TestKernelPassMemory:
+    @pytest.mark.parametrize("name", ["alamouti", "scalar"])
+    def test_peak_is_a_few_channels(self, name):
+        # within the 3 * 16 N M bytes that drawing the channel peaks at;
+        # the channel's own kernel matrix would take 16 L K^3 M bytes, 64
+        # times the channel for alamouti
+        code = builtin_code(name)
+        M = 2 ** 16
+        channel = draw_channel(code.N, M, np.random.default_rng(1))
+        compute_bspace(code, channel)  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            compute_bspace(code, channel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * code.N * M, peak / (16 * code.N * M)
 
 
 class TestScaleInvariance:
