@@ -57,9 +57,10 @@ class CensusResult(Record):
 
 def _chunk_trials(code, M):
     """Trials per stacked pass at M receive antennas, from CHUNK_BYTES: a
-    trial's channel draw and its 2LK min(M, N) x K^2 kernel matrix."""
-    trial_bytes = (_check_channel_draw(code.N, M)
-                   + 16 * code.L * code.K ** 3 * min(M, code.N))
+    trial's channel draw and its 2LK min(M, N) x (1 + K(K-1)/2) kernel
+    matrix, the images of the identity and of the skew units."""
+    trial_bytes = (_check_channel_draw(code.N, M) + 16 * code.L * code.K
+                   * min(M, code.N) * (1 + code.K * (code.K - 1) // 2))
     # The budget does not count a trial's other arrays (singular values,
     # basis and angle work); for tiny codes they would dominate a pass, so
     # a pass takes at most 1024 trials.

@@ -358,8 +358,9 @@ def run_estimate(config, tol=RANK_TOL):
     rc = realify(config.code, config.M)
     h_hat = estimate_channel(rc, sample_R(blocks))
     s_hat = decode(rc, h_hat, blocks)
-    B_hat, residual = ambiguity_matrix(rc, channel.h0, h_hat)
+    h0 = channel.h0
+    B_hat, residual = ambiguity_matrix(rc, h0, h_hat)
     sub = compute_bspace(config.code, channel, tol, seed=config.seed)
-    lifts = [lift_to_channel(rc, channel.h0, b)[:, None] for b in sub.basis]
+    lifts = [lift_to_channel(rc, h0, b)[:, None] for b in sub.basis]
     [angle] = principal_angles([h_hat[:, None]], lifts)
     return EstimateReport(h_hat, s_hat, B_hat, residual, float(angle), blocks)

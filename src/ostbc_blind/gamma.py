@@ -9,9 +9,12 @@ vanishes for every k exactly when B transports the code structure: B
 belongs to the channel ambiguity space of a channel H precisely when the
 stacked blocks annihilate H. One map is assembled as an explicit real
 matrix, B -> underline(gamma(B) H), which turns every ambiguity-space
-question into a kernel computation. The invariant space is the case
-H = I_N: gamma(B) H = 0 depends on H only through its column space, so
-B* = B(I_N) = B(H) for every H whose columns span C^N.
+question into a kernel computation. gamma(I) = 0 and the traceless
+symmetric B map isometrically (times |H|_F) onto images orthogonal to
+the skew ones (README), so B(H) = span{I} + the map's kernel on skew
+matrices. The invariant space is the case H = I_N: gamma(B) H = 0
+depends on H only through its column space, so B* = B(I_N) = B(H) for
+every H whose columns span C^N.
 """
 
 import numpy as np
@@ -38,16 +41,14 @@ def unit_gammas(code):
     return blocks.transpose(1, 0, 2, 3, 4).reshape(K * K, L * K, N)
 
 
-def _channel_kernel_matrices(unit, H0):
-    """Matrix of the map B -> underline(gamma(B) @ H0), acting on vec(B).
+def _channel_kernel_matrices(gammas, H0):
+    """Matrix of the map B -> underline(gamma(B) @ H0) on a set of B.
 
-    ``unit`` is the code's :func:`unit_gammas`. Column p is
-    underline(unit[p] @ H0), the image of the p-th unit matrix in vec(B)
-    order, so the shape is (2*L*K*M, K^2); its kernel, reshaped to K x K
-    matrices, is the ambiguity space of the channel realization H0. A
-    stack of channel matrices, shape (T, N, M), gives the stack of their
-    matrices, shape (T, 2*L*K*M, K^2), with the bits of one matrix at a
-    time.
+    ``gammas`` is a (P, LK, N) stack of blocks gamma(B_p), such as the
+    code's :func:`unit_gammas`; column p is underline(gammas[p] @ H0), the
+    image of B_p, so the shape is (2*L*K*M, P). A stack of channel
+    matrices, shape (T, N, M), gives the stack of their matrices, shape
+    (T, 2*L*K*M, P), with the bits of one matrix at a time.
     """
-    return underline(unit @ H0[..., None, :, :]).swapaxes(-1, -2)
+    return underline(gammas @ H0[..., None, :, :]).swapaxes(-1, -2)
 

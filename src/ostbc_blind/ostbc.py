@@ -155,11 +155,16 @@ def encode(code, s):
 
 
 class ChannelRealization(Record):
-    """A channel matrix together with its real vector embedding."""
+    """A channel matrix. Its real vector embedding ``h0`` is built on each
+    access, so a channel holds one copy of its entries."""
 
     M: int
     H0: np.ndarray          # complex (N, M)
-    h0: np.ndarray          # real (2*M*N,), equals underline(H0)
+
+    @property
+    def h0(self):
+        """The real (2*M*N,) vector underline(H0)."""
+        return underline(self.H0)
 
     @classmethod
     def from_matrix(cls, H0):
@@ -168,11 +173,9 @@ class ChannelRealization(Record):
             raise ValueError("channel matrix must be 2-dimensional")
         if not H0.any():
             raise ValueError("zero channel matrix is rejected")
-        h0 = underline(H0)
         H0 = H0.copy()
         H0.setflags(write=False)
-        h0.setflags(write=False)
-        return cls(H0.shape[1], H0, h0)
+        return cls(H0.shape[1], H0)
 
 
 class RealifiedCode(Record):

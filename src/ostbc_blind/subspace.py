@@ -6,26 +6,28 @@ channel space B(H), and for H = I_N, the channel-independent invariant
 space B* = B(I_N), which equals B(H) for every H whose columns span C^N
 and lies inside every B(H). Both consist of matrices that are orthogonal
 up to a positive constant, always contain the identity, and carry a
-basis {I} + Hurwitz-Radon family.
+basis {I} + Hurwitz-Radon family. Each is span{I} plus the kernel of
+the map on skew matrices (README), so the rank is decided on the
+K(K-1)/2 skew units alone, and K = 1 has no rank decision.
 """
 
 import numpy as np
 
 from ._record import Record
-from .embed import _check_tol, _kernels, underline, vec
+from .embed import _check_tol, _kernels, vec
 from .gamma import _channel_kernel_matrices, unit_gammas
 from .ostbc import _phi_t, build_A
 
 RANK_TOL = 1e-9        # default tol: the rank cut is tol * |H|_F
 SPAN_ANGLE_TOL = 1e-8  # radians: spans this close in every angle are equal
 # One cut per channel, max(tol, RESIDUAL_ROUNDING * K^2 * eps) * |H|_F,
-# decides its rank and bounds its kernel residuals. |H|_F is the largest
-# singular value of the kernel matrix for every code with K >= 2 (README),
-# scales with H and never cancels; for K = 1 the matrix is rounding noise.
-# Over 20000 channels per M = 1..N+1 on builtin, rotated and mixed codes,
-# in units of K^2 * eps * |H|_F, the largest value to drop measured 1.62,
-# the largest residual 9.0, the smallest kept value 6.2e11; past N, through
-# the factor at M = N+1..N+3 and 64: 1.52, 7.8 and 1.6e13.
+# decides its rank on the skew block and bounds its kernel residuals. |H|_F
+# is the largest singular value of the kernel matrix for every code with
+# K >= 2 (README), scales with H and never cancels. Over 20000 channels per
+# M = 1..N+1 on builtin, rotated and mixed codes, in units of
+# K^2 * eps * |H|_F, the largest skew value to drop measured 1.24, the
+# largest residual 4.0, the smallest kept value 1.5e11; past N, through
+# the factor at M = N+1..N+3 and 64: 1.23, 4.0 and 1.5e13.
 RESIDUAL_ROUNDING = 32
 # Byte budget of the largest array a command builds, checked before it is
 # allocated: the estimator's (2ML, 2ML) covariance (2**31 B hold 2ML up
@@ -91,51 +93,26 @@ def _fix_sign(b):
     return b
 
 
-def _identity_first(span, K, resid_tol, error):
-    """Identity-first orthonormal bases by one Householder reflection.
-
-    ``span`` is a stack (T, K^2, dim) of orthonormal columns; returns the
-    (T, dim, K^2) stack of orthonormal rows, vec(I)/sqrt(K) first. With c
-    the coordinates of vec(I)/sqrt(K) in the columns and w proportional to
-    c + sign(c_1) e_1 (sign(0) = +1), I - 2ww^T maps c onto e_1, so rows
-    2..dim of (span (I - 2ww^T))^T span the rest of the span. Every step
-    is elementwise or a per-slice matmul, so a stack gives the bits of its
-    slices taken one at a time.
-    """
-    u0 = vec(np.eye(K)) / np.sqrt(K)
-    c = u0 @ span
-    resid = np.linalg.norm(u0 - (span @ c[..., None])[..., 0], axis=-1)
-    bad = np.flatnonzero(resid > resid_tol)
-    if bad.size:
-        raise error(f"identity not in the subspace span "
-                    f"(residual {resid[bad[0]]:.3e})")
-    c[:, 0] += np.where(c[:, 0] < 0, -1.0, 1.0)
-    w = c / np.linalg.norm(c, axis=-1, keepdims=True)
-    rows = span.swapaxes(-1, -2)
-    taken = rows - 2 * w[..., None] * (w[:, None, :] @ rows)
-    taken[:, 0] = u0
-    return taken
-
-
 def _channel_bases(code, unit, H0, tol):
     """Ambiguity-space bases of a stack of channel matrices H0, (T, N, M).
 
-    ``unit`` is the code's :func:`unit_gammas`, built once per code. One
-    stacked SVD of the channel kernel matrices gives every kernel, and
-    each channel's kernel dimension comes from its own singular values.
-    Returns ``(dims, mats)``: the (T,) dimensions and the read-only
-    (T, dim, K, K) stack of Frobenius-orthonormal bases, or ``None`` when
-    the dimensions differ. Each basis is the SVD's kernel columns
-    reflected identity-first by :func:`_identity_first`, its other
-    elements sign-fixed. Each channel is first scaled exactly by the power
-    of two that puts its largest real or imaginary part in [0.5, 1), so
-    2^j H gives the bits of H and nothing overflows. The cut max(tol,
-    32 K^2 eps) |H|_F of the scaled H decides its rank and bounds its
-    kernel residuals; the first channel that breaks a check raises
-    :class:`SubspaceError`. Past N antennas the kernel matrix is that of
-    the N x N factor R^T of H = R^T Q^T (a stacked QR of H^T): Q^T has
-    orthonormal rows, so both have the same kernel and singular values.
-    H0 = I_N gives B*.
+    ``unit`` is the code's :func:`unit_gammas`, built once per code. B(H)
+    = span{I} + ker(A -> gamma(A) H on skew A) (README), so the kernel
+    matrix holds the images of I/sqrt(K) and of each (E_ab - E_ba)/sqrt(2),
+    a < b, and one stacked SVD of its skew columns decides each channel's
+    rank (K = 1 has no skew column and no rank decision). Returns
+    ``(dims, mats)``: the (T,) dimensions and the read-only (T, dim, K, K)
+    stack of Frobenius-orthonormal bases, I/sqrt(K) first, then the skew
+    kernel elements, sign-fixed; ``None`` when the dimensions differ.
+    Each channel is first scaled exactly by the power of two that puts its
+    largest real or imaginary part in [0.5, 1), so 2^j H gives the bits of
+    H and nothing overflows. The cut max(tol, 32 K^2 eps) |H|_F of the
+    scaled H decides its rank and bounds the residual of every basis
+    element under the whole map B -> gamma(B) H; the first channel that
+    breaks a check raises :class:`SubspaceError`. Past N antennas the
+    kernel matrix is that of the N x N factor R^T of H = R^T Q^T (a
+    stacked QR of H^T): Q^T has orthonormal rows, so both have the same
+    kernel and singular values. H0 = I_N gives B*.
     """
     if H0.shape[-2] != code.N:
         raise ValueError(
@@ -143,21 +120,29 @@ def _channel_bases(code, unit, H0, tol):
             f"code {code.name!r} expects {code.N}")
     if not H0.any(axis=(-2, -1)).all():
         raise ValueError("zero channel matrix is rejected")
-    scale = -np.frexp(np.abs(underline(H0)).max(axis=-1))[1][:, None, None]
-    H0 = np.ldexp(H0.real, scale) + 1j * np.ldexp(H0.imag, scale)
+    parts = np.ascontiguousarray(H0, dtype=complex).view(float)
+    scale = -np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
+    H0 = np.ldexp(parts, scale[:, None, None]).view(complex)
     K = code.K
     cut = (max(tol, RESIDUAL_ROUNDING * K * K * np.finfo(float).eps)
            * np.linalg.norm(H0.reshape(len(H0), -1), axis=-1))
     if H0.shape[-1] > code.N:
         H0 = np.linalg.qr(H0.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-    ops = _channel_kernel_matrices(unit, H0)
-    dims, span = _kernels(ops, cut)
+    skew = np.zeros((K * (K - 1) // 2, K, K))
+    skew[(np.arange(len(skew)), *np.triu_indices(K, 1))] = np.sqrt(0.5)
+    units = vec(np.concatenate([np.eye(K)[None] / np.sqrt(K),
+                                skew - skew.swapaxes(-1, -2)]))
+    ops = _channel_kernel_matrices(np.tensordot(units, unit, 1), H0)
+    dims, span = _kernels(ops[..., 1:], cut)
     if span is None:
-        return dims, None
-    taken = _identity_first(span, K, 1e-10, SubspaceError)
-    mats = taken.reshape(len(dims), -1, K, K).swapaxes(-1, -2)
+        return dims + 1, None
+    # coordinates of each basis element in the units: e_1, then (0, span)
+    coords = np.pad(span, ((0, 0), (1, 0), (1, 0)))
+    coords[:, 0, 0] = 1.0
+    mats = (coords.swapaxes(-1, -2) @ units).reshape(
+        len(dims), -1, K, K).swapaxes(-1, -2)
     _fix_sign(mats[:, 1:])
-    residual = np.linalg.norm(ops @ taken.swapaxes(-1, -2), axis=-2)
+    residual = np.linalg.norm(ops @ coords, axis=-2)
     over = np.argwhere(residual > cut[:, None])
     if over.size:
         t, e = over[0]
@@ -165,7 +150,7 @@ def _channel_bases(code, unit, H0, tol):
             f"basis element leaves kernel residual {residual[t, e]:.3e} "
             f"above its bound {cut[t]:.3e}")
     mats.flags.writeable = False
-    return dims, mats
+    return dims + 1, mats
 
 
 def _subspace(bases, code, tol, kind, M=None, seed=None):
@@ -240,8 +225,9 @@ def hr_basis(sub):
     """Extract the {identity} + Hurwitz-Radon basis from an ambiguity space.
 
     The basis, in any order, is orthonormalized (:func:`_orth_basis`) and
-    reflected identity-first (:func:`_identity_first`); every later element
-    is rescaled to an orthogonal matrix. Raises
+    reflected identity-first: I - 2ww^T, w along c + sign(c_1) e_1 with c
+    the coordinates of vec(I)/sqrt(K), maps c onto e_1. Every later
+    element is rescaled to an orthogonal matrix. Raises
     :class:`AmbiguityStructureError` when the basis is linearly dependent,
     leaves the identity more than 1e-8 off its span, or has a rescaled
     element that is not orthogonal-up-to-constant within 1e-8: a corrupted
@@ -253,7 +239,15 @@ def hr_basis(sub):
         raise AmbiguityStructureError(
             f"basis elements are linearly dependent: {len(sub.basis)} span "
             f"{span.shape[-1]} dimensions")
-    [taken] = _identity_first(span[None], K, 1e-8, AmbiguityStructureError)
+    u0 = vec(np.eye(K)) / np.sqrt(K)
+    c = u0 @ span
+    resid = np.linalg.norm(u0 - span @ c)
+    if resid > 1e-8:
+        raise AmbiguityStructureError(
+            f"identity not in the subspace span (residual {resid:.3e})")
+    c[0] += -1.0 if c[0] < 0 else 1.0
+    w = c / np.linalg.norm(c)
+    taken = span.T - 2 * np.outer(w, w @ span.T)
     family = []
     for w in taken[1:]:
         b = w.reshape((K, K), order="F")

@@ -1,7 +1,8 @@
 """Golden outputs: recorded command lines and what each one prints and writes.
 
     python tests/golden.py            # check; exit status 1 on a mismatch
-    python tests/golden.py --update   # rewrite tests/golden/manifest.json
+    python tests/golden.py --update   # rewrite tests/golden/manifest.json,
+                                      # listing each line that changed
 
 Each line of the manifest runs through ``cli.main`` in a fresh temporary
 directory, after the code files its argv names are written there. Its
@@ -276,11 +277,32 @@ def _lines():
     return list(dict.fromkeys(map(tuple, lines)))
 
 
+def changed_parts(old, new):
+    """The parts of a line's entry that differ from its recorded one: its
+    exit status, then stdout, stderr and each output file by name."""
+    parts = ["status"] if old["status"] != new["status"] else []
+    return parts + [name for name in sorted(old["sha256"].keys()
+                                            | new["sha256"].keys())
+                    if old["sha256"].get(name) != new["sha256"].get(name)]
+
+
 def update():
+    """Rewrite the manifest; print each line that was added, removed or
+    changed against the manifest it replaces, with the parts that changed."""
     files = _code_files()
-    entries = [json.dumps(record(argv, files), sort_keys=True,
-                          separators=(",", ":"))
-               for argv in _lines()]
+    old = ({tuple(e["argv"]): e for e in load()["lines"]}
+           if MANIFEST.exists() else {})
+    entries = []
+    for argv in _lines():
+        entry = record(argv, files)
+        line = " ".join(argv)
+        if argv not in old:
+            print(f"added: {line}")
+        elif parts := changed_parts(old.pop(argv), entry):
+            print(f"changed: {line}: {', '.join(parts)}")
+        entries.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+    for argv in old:
+        print(f"removed: {' '.join(argv)}")
     MANIFEST.parent.mkdir(exist_ok=True)
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         fh.write(f'{{"environment": {json.dumps(environment(), sort_keys=True)},\n'

@@ -9,12 +9,10 @@ import pytest
 
 from ostbc_blind import (BUILTIN_CODE_NAMES, CensusError, builtin_code,
                          compute_bspace, compute_bstar, draw_channel,
-                         find_mstar, principal_angles, unit_gammas,
-                         write_census_csv)
+                         find_mstar, principal_angles, write_census_csv)
 from ostbc_blind import census
 from ostbc_blind.cli import census_summary
 from ostbc_blind.estimator import _gaussian_channel
-from ostbc_blind.gamma import _channel_kernel_matrices
 from ostbc_blind.ostbc import ChannelRealization
 
 from oracles import (census_records_per_trial, exact_channel_dim,
@@ -199,11 +197,11 @@ def as_rows(dims, angles):
 
 def trial_bytes(code, M):
     """Bytes of one census trial: its channel draw, which peaks at three
-    arrays of 16 N M bytes, and its kernel matrix, built from at most N
-    columns."""
-    kernel = _channel_kernel_matrices(unit_gammas(code),
-                                      np.ones((code.N, min(M, code.N))))
-    return 3 * 16 * code.N * M + kernel.nbytes
+    arrays of 16 N M bytes, and its kernel matrix, the images of I and of
+    the K(K-1)/2 skew units through at most N columns."""
+    K = code.K
+    kernel = 2 * code.L * K * min(M, code.N) * (1 + K * (K - 1) // 2) * 8
+    return 3 * 16 * code.N * M + kernel
 
 
 class TestBatchedCensus:
@@ -265,8 +263,8 @@ class TestBatchedCensus:
 
     def test_chunk_counts_the_draw_and_the_factor_matrix(self, alamouti):
         # alamouti (N = 2, L = 2, K = 4) at M = 64: a 6144-byte draw and a
-        # 32 x 16 kernel matrix of 4096 bytes, the size it has at any M >= N
-        assert census._chunk_trials(alamouti, 64) == (1 << 22) // 10240
+        # 32 x 7 kernel matrix of 1792 bytes, the size it has at any M >= N
+        assert census._chunk_trials(alamouti, 64) == (1 << 22) // 7936
         assert census._chunk_trials(alamouti, 1) == 1024
         assert census._chunk_trials(alamouti, 2 ** 16) == 1
 

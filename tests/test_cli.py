@@ -207,6 +207,17 @@ class TestCodesWhoseProductsRound:
                      "--trials", "200", "--seed", "16", "--tol", "1e-15"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_identity_residual_above_the_cut(self, tmp_path, capsys):
+        # K = 1 has no rank decision: the identity's residual under the
+        # whole map is its one check, and a unit error of 8e-13 lies above
+        # the 32 eps |H|_F cut that --tol 1e-15 falls back to
+        path = tmp_path / "k1-4e-13.json"
+        path.write_text(K1_4E13_JSON)
+        assert main(["bspace", "--code-file", str(path), "--rx", "2",
+                     "--seed", "1", "--tol", "1e-15"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: basis element leaves kernel residual ")
+
 
 class TestEstimate:
     ARGS = ["estimate", "--code", "alamouti", "--rx", "2", "--blocks", "1000",
@@ -626,15 +637,18 @@ class TestHostileInput:
         assert " dim=4 " in captured.out
 
     def test_span_without_the_identity(self, monkeypatch, capsys):
-        original = subspace._kernels
+        original = subspace._channel_bases
 
-        def span_off_the_identity(m, cut):
-            dims, _ = original(m, cut)
-            # E_21 is orthogonal to vec(I) under the Frobenius product
-            bases = np.tile(np.eye(m.shape[-1])[:, [1]], (len(m), 1, 1))
-            return np.ones_like(dims), bases
+        def identity_replaced(code, unit, H0, tol):
+            dims, mats = original(code, unit, H0, tol)
+            # E_21 and the skew elements are orthogonal to vec(I) under the
+            # Frobenius product, so hr_basis finds no identity in the span
+            mats = mats.copy()
+            mats[:, 0] = 0.0
+            mats[:, 0, 1, 0] = 1.0
+            return dims, mats
 
-        monkeypatch.setattr(subspace, "_kernels", span_off_the_identity)
+        monkeypatch.setattr(subspace, "_channel_bases", identity_replaced)
         self.assert_one_error(
             ["bspace", "--code", "alamouti", "--rx", "2", "--seed", "1"],
             capsys, "identity not in the subspace span (residual 1.000e+00)")

@@ -143,8 +143,9 @@ class TestChannelKernelMatrix:
 
     @pytest.mark.parametrize("M", [1, 3])
     def test_byte_count(self, code, rng, M, monkeypatch):
-        # the kernel pass builds 2 L K min(M, N) x K^2 floats per channel,
-        # the size the census sizes its passes by
+        # the kernel pass builds 2 L K min(M, N) x (1 + K(K-1)/2) floats
+        # per channel, the images of I and of the skew units, the size the
+        # census sizes its passes by
         built = []
 
         def recording(unit, H0):
@@ -154,7 +155,9 @@ class TestChannelKernelMatrix:
         monkeypatch.setattr(subspace, "_channel_kernel_matrices", recording)
         compute_bspace(code, draw_channel(code.N, M, rng))
         [op] = built
-        assert op.nbytes == 2 * code.L * code.K ** 3 * min(M, code.N) * 8
+        K = code.K
+        assert op.nbytes == (2 * code.L * K * min(M, code.N)
+                             * (1 + K * (K - 1) // 2) * 8)
 
     def test_realified_block_action(self, code, rng):
         # (I_M (x) overline(block)) underline(H) = underline(block @ H), per block

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 
@@ -78,3 +79,34 @@ def test_channel_budget_lines_keep_their_exit_status():
     assert outputs["stderr"].decode().splitlines() == [
         "error: 22369622 receive antennas need 2147483712 bytes to draw a "
         "2 x 22369622 channel, above the budget of 2147483648 bytes"]
+
+
+def test_update_lists_each_changed_line_and_part(tmp_path, monkeypatch,
+                                                 capsys):
+    recorded = golden.load()
+    wanted = [["bstar", "--code", "alamouti-k3", "--json",
+               "bstar-alamouti-k3.json"],
+              ["bstar", "--code", "scalar", "--json", "bstar-scalar.json"],
+              ["codes", "validate", "--code", "real2"],
+              ["codes", "list"]]
+    old = {tuple(e["argv"]): copy.deepcopy(e) for e in recorded["lines"]
+           if e["argv"] in wanted[:3]}
+    first, second, third = (old[tuple(argv)] for argv in wanted[:3])
+    first["status"] = 1
+    first["sha256"]["bstar-alamouti-k3.json"] = "0" * 64
+    second["sha256"]["stdout"] = second["sha256"]["stderr"] = "0" * 64
+    gone = copy.deepcopy(third)
+    gone["argv"] = ["codes", "validate", "--code", "alamouti"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(recorded | {"lines": [*old.values(), gone]}))
+    monkeypatch.setattr(golden, "MANIFEST", path)
+    monkeypatch.setattr(golden, "_lines", lambda: list(map(tuple, wanted)))
+    golden.update()
+    assert capsys.readouterr().out.splitlines() == [
+        "changed: bstar --code alamouti-k3 --json bstar-alamouti-k3.json: "
+        "status, bstar-alamouti-k3.json",
+        "changed: bstar --code scalar --json bstar-scalar.json: stderr, "
+        "stdout",
+        "added: codes list",
+        "removed: codes validate --code alamouti"]
+    assert [e["argv"] for e in golden.load()["lines"]] == wanted

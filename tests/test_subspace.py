@@ -6,10 +6,11 @@ import pytest
 
 from ostbc_blind import (BUILTIN_CODE_NAMES, AmbiguityStructureError,
                          AmbiguitySubspace, ChannelRealization, OstbCode,
-                         SubspaceError, build_A, builtin_code, code_from_dict,
-                         compute_bspace, compute_bstar, draw_channel, hr_basis,
-                         lift_to_channel, principal_angles, realify, rho,
-                         spans_match, subspace, unit_gammas, vec)
+                         SubspaceError, build_A, builtin_code, cli,
+                         code_from_dict, compute_bspace, compute_bstar,
+                         draw_channel, hr_basis, lift_to_channel,
+                         principal_angles, realify, rho, spans_match,
+                         subspace, unit_gammas, vec)
 from ostbc_blind.estimator import _check_channel_draw
 from ostbc_blind.gamma import _channel_kernel_matrices
 
@@ -155,8 +156,7 @@ class TestComputeBspace:
 
     def test_rejects_zero_channel(self, alamouti):
         from ostbc_blind import ChannelRealization
-        zero = ChannelRealization(1, np.zeros((2, 1), dtype=complex),
-                                  np.zeros(4))
+        zero = ChannelRealization(1, np.zeros((2, 1), dtype=complex))
         with pytest.raises(ValueError):
             compute_bspace(alamouti, zero)
 
@@ -167,15 +167,16 @@ class TestComputeBspace:
 
     def test_basis_element_off_the_kernel_raises(self, alamouti, rng,
                                                  monkeypatch):
-        original = subspace._identity_first
+        original = subspace._kernels
 
-        def last_row_replaced(span, K, resid_tol, error):
-            taken = original(span, K, resid_tol, error)
-            # E_11 is not orthogonal up to a constant: outside the kernel
-            taken[:, -1] = vec(np.diag([1.0, 0.0, 0.0, 0.0]))
-            return taken
+        def last_column_replaced(m, cut):
+            dims, span = original(m, cut)
+            # the skew unit (E_12 - E_21)/sqrt(2) alone, with no E_34
+            # part, is outside alamouti's kernel
+            span[:, :, -1] = np.eye(m.shape[-1])[0]
+            return dims, span
 
-        monkeypatch.setattr(subspace, "_identity_first", last_row_replaced)
+        monkeypatch.setattr(subspace, "_kernels", last_column_replaced)
         with pytest.raises(SubspaceError,
                            match=r"^basis element leaves kernel residual "
                                  r"\S+ above its bound \S+$"):
@@ -227,7 +228,9 @@ class TestTriangularFactor:
         channels.append(ChannelRealization.from_matrix(column * row))
         for channel in channels:
             sub = compute_bspace(code, channel)
-            assert built[-1].shape == (1, 2 * code.L * K * code.N, K * K)
+            # the images of I and of the K(K-1)/2 skew units
+            assert built[-1].shape == (1, 2 * code.L * K * code.N,
+                                       1 + K * (K - 1) // 2)
             # the channel's own 2LKM x K^2 kernel matrix, cut at the same
             # max(tol, 32 K^2 eps) |H|_F
             H = channel.H0
@@ -263,6 +266,24 @@ class TestKernelPassMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 16 * code.N * M, peak / (16 * code.N * M)
+
+    @pytest.mark.parametrize("name", ["alamouti", "scalar"])
+    def test_whole_bspace_within_the_draw_check(self, name, capsys):
+        # a channel holds one copy of its entries while the kernel pass
+        # runs, so the command peaks at the 3 * 16 N M bytes that
+        # _check_channel_draw counts, plus a part that does not grow with M
+        code = builtin_code(name)
+        M = 2 ** 16
+        argv = ["bspace", "--code", name, "--rx", str(M), "--seed", "1"]
+        cli.main(argv)  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _check_channel_draw(code.N, M) + 2 ** 18, (
+            peak / (16 * code.N * M))
 
 
 class TestScaleInvariance:
@@ -381,6 +402,45 @@ def test_largest_singular_value_is_the_channel_norm(name, rng):
                     witness = ops[..., a + b * K] + ops[..., b + a * K]
                     ratio = np.linalg.norm(witness, axis=-1) / norm
                     assert np.abs(ratio - np.sqrt(2)).max() <= 8 * eps
+
+
+def _symmetric_and_skew_units(K):
+    """Frobenius-orthonormal bases of the traceless symmetric and of the
+    skew K x K matrices, as (count, K, K) stacks."""
+    eye = np.eye(K)
+    a, b = np.triu_indices(K, 1)
+    helmert = [(eye[:j].sum(axis=0) - j * eye[j]) / np.sqrt(j * (j + 1))
+               for j in range(1, K)]
+    sym = [np.diag(d) for d in helmert] + [
+        (np.outer(eye[i], eye[j]) + np.outer(eye[j], eye[i])) / np.sqrt(2)
+        for i, j in zip(a, b)]
+    skew = [(np.outer(eye[i], eye[j]) - np.outer(eye[j], eye[i])) / np.sqrt(2)
+            for i, j in zip(a, b)]
+    return np.array(sym).reshape(-1, K, K), np.array(skew).reshape(-1, K, K)
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_CODES))
+def test_channel_space_is_the_identity_and_the_skew_kernel(name, rng):
+    """B(H) = span{I} + ker(A -> gamma(A) H on skew A), which the channel
+    route rests on: gamma(I) H lies under the cut, every traceless
+    symmetric B maps with singular value |H|_F, and the symmetric and
+    skew images are orthogonal (README)."""
+    code = FACTOR_CODES[name]
+    K = code.K
+    sym, skew = _symmetric_and_skew_units(K)
+    unit = unit_gammas(code)
+    for M in range(1, code.N + 2):
+        H = (rng.standard_normal((20, code.N, M))
+             + 1j * rng.standard_normal((20, code.N, M)))
+        norm = np.linalg.norm(H.reshape(20, -1), axis=-1)
+        ops = _channel_kernel_matrices(unit, H)
+        cut = max(subspace.RANK_TOL, 32 * K * K * np.finfo(float).eps) * norm
+        assert (np.linalg.norm(ops @ vec(np.eye(K)), axis=-1) <= cut).all()
+        sym_images, skew_images = ops @ vec(sym).T, ops @ vec(skew).T
+        s = np.linalg.svd(sym_images, compute_uv=False)
+        assert (np.abs(s - norm[:, None]) <= 1e-13 * norm[:, None]).all()
+        cross = sym_images.swapaxes(-1, -2) @ skew_images
+        assert (np.abs(cross) <= 1e-14 * norm[:, None, None] ** 2).all()
 
 
 class TestLiftToChannel:
