@@ -18,15 +18,14 @@ from .estimator import (ConstellationModel, ConvergenceError,
                         SimulationConfig, draw_channel, run_estimate)
 from .kyfan import (MAX_SAMPLES, KyFanError, SpectrumSpec,
                     kyfan_sample_check)
-from .ostbc import (BUILTIN_CODE_NAMES, VALIDATION_TOL, CodeFormatError,
-                    CodeValidationError, builtin_code, load_code,
-                    validate_code)
+from .ostbc import (BUILTIN_CODE_NAMES, VALIDATION_TOL, builtin_code,
+                    load_code, validate_code)
 from .subspace import (MAX_BYTES, RANK_TOL, AmbiguityStructureError,
                        SubspaceError, compute_bspace, compute_bstar, hr_basis)
 
-_ERRORS = (ValueError, KeyError, OSError, CodeFormatError, CodeValidationError,
-           SubspaceError, AmbiguityStructureError, CensusError, KyFanError,
-           ConvergenceError, MemoryError, OverflowError)
+_ERRORS = (ValueError, KeyError, OSError, SubspaceError,
+           AmbiguityStructureError, CensusError, KyFanError, ConvergenceError,
+           MemoryError, OverflowError)
 
 
 def _add_code_and_tol_args(parser):

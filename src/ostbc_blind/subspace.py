@@ -62,7 +62,7 @@ class AmbiguitySubspace(Record):
     The basis is orthonormal under the Frobenius inner product, with the
     normalized identity I/sqrt(K) always first; the signs of the other
     elements are fixed so their first significant entry (row-major scan)
-    is positive.
+    is positive. :func:`hr_basis` checks this layout.
     """
 
     code: object
@@ -224,40 +224,36 @@ class HurwitzRadonBasis(Record):
 def hr_basis(sub):
     """Extract the {identity} + Hurwitz-Radon basis from an ambiguity space.
 
-    The basis, in any order, is orthonormalized (:func:`_orth_basis`) and
-    reflected identity-first: I - 2ww^T, w along c + sign(c_1) e_1 with c
-    the coordinates of vec(I)/sqrt(K), maps c onto e_1. Every later
-    element is rescaled to an orthogonal matrix. Raises
-    :class:`AmbiguityStructureError` when the basis is linearly dependent,
-    leaves the identity more than 1e-8 off its span, or has a rescaled
-    element that is not orthogonal-up-to-constant within 1e-8: a corrupted
-    subspace.
+    Checks the layout of :class:`AmbiguitySubspace` as it is, without
+    reordering or re-orthonormalizing: the Gram matrix of the basis
+    vectors lies within 1e-8 of I, and the first element within 1e-8 of
+    I/sqrt(K). Every later element B is rescaled by its own
+    c = tr(B^T B)/K into an orthogonal matrix of the family, so the
+    residuals are those of the basis as given. Raises
+    :class:`AmbiguityStructureError` when either check fails, or when a
+    rescaled element is not orthogonal-up-to-constant within 1e-8 or the
+    family exceeds the Hurwitz-Radon bound: a corrupted subspace.
     """
     K = sub.code.K
-    span = _orth_basis(sub.basis)
-    if span.shape[-1] != len(sub.basis):
+    mats = np.asarray(sub.basis, dtype=float)
+    v = vec(mats)
+    dev = np.linalg.norm(v @ v.T - np.eye(len(v)))
+    if dev > 1e-8:
         raise AmbiguityStructureError(
-            f"basis elements are linearly dependent: {len(sub.basis)} span "
-            f"{span.shape[-1]} dimensions")
-    u0 = vec(np.eye(K)) / np.sqrt(K)
-    c = u0 @ span
-    resid = np.linalg.norm(u0 - span @ c)
-    if resid > 1e-8:
+            f"basis is not orthonormal: Gram deviation {dev:.3e}")
+    dev = np.linalg.norm(mats[0] - np.eye(K) / np.sqrt(K))
+    if dev > 1e-8:
         raise AmbiguityStructureError(
-            f"identity not in the subspace span (residual {resid:.3e})")
-    c[0] += -1.0 if c[0] < 0 else 1.0
-    w = c / np.linalg.norm(c)
-    taken = span.T - 2 * np.outer(w, w @ span.T)
+            f"first basis element is not I/sqrt(K): deviation {dev:.3e}")
     family = []
-    for w in taken[1:]:
-        b = w.reshape((K, K), order="F")
+    for b in mats[1:]:
         c = np.trace(b.T @ b) / K
         dev = np.linalg.norm(b.T @ b - c * np.eye(K))
         if dev > 1e-8 * max(c, 1e-300):
             raise AmbiguityStructureError(
                 f"subspace element is not orthogonal up to a constant: "
                 f"deviation {dev:.3e} at scale {c:.3e}")
-        family.append(_fix_sign(b / np.sqrt(c)))
+        family.append(b / np.sqrt(c))
     if len(family) > rho(K) - 1:
         raise AmbiguityStructureError(
             f"family of {len(family)} exceeds the Hurwitz-Radon bound {rho(K) - 1}")
@@ -297,8 +293,9 @@ def _angles(qa, qb):
 def _orth_basis(basis):
     """Orthonormal (n, rank) basis of the span of a sequence of matrices:
     one thin SVD of their vectors, cut at singular values above
-    eps * max(n, len(basis)) * sigma_max. The bases that
-    :func:`_channel_bases` returns are orthonormal already."""
+    eps * max(n, len(basis)) * sigma_max. Its one caller is
+    :func:`principal_angles`, which takes bases of unknown shape; the
+    bases that :func:`_channel_bases` returns are orthonormal already."""
     a = vec(basis).T
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = np.count_nonzero(s > np.finfo(float).eps * max(a.shape) * s[0])

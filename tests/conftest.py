@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ostbc_blind import BUILTIN_CODE_NAMES, builtin_code
-from oracles import rotated_alamouti
+from oracles import real4x3, rotated_alamouti
 
 
 @pytest.fixture
@@ -27,3 +27,13 @@ ROTATED = {c.name: c for c in (rotated_alamouti(3), rotated_alamouti(4))}
 def any_code(request):
     """Every builtin code, and two whose blocks have irrational entries."""
     return ROTATED.get(request.param) or builtin_code(request.param)
+
+
+WIDER = dict(ROTATED, real4x3=real4x3())
+
+
+@pytest.fixture(params=BUILTIN_CODE_NAMES + tuple(WIDER))
+def every_code(request):
+    """Every code of :func:`any_code`, and the real 4 x 3 design, whose
+    channel space reaches the invariant space only at two antennas."""
+    return WIDER.get(request.param) or builtin_code(request.param)

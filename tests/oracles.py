@@ -6,7 +6,8 @@ blocks, explicit Kronecker products for the dense channel operators and
 the channel lift, exact rational arithmetic (sympy) for kernel
 dimensions, per-column loops for the assembled operators, 50-digit
 arithmetic (mpmath) for principal angles, a QR and an arcsine for the
-angle between a vector and a subspace, a LAPACK QR for the orthonormal
+angle between a vector and a subspace, dense eigenvalues for the
+Davis-Kahan bound on the estimator's angle, a LAPACK QR for the orthonormal
 Stiefel samples, one batch of draws for the Ky Fan sample check and for
 the link noise, and one trial at a time for the census. It also holds the
 tests' writer of code-definition files, a code with irrational entries,
@@ -159,6 +160,24 @@ def rayleigh_dense(rc, R):
     phi = dense_phi(rc)
     Q = np.einsum("kia,ij,kjb->ab", phi, R, phi, optimize=True)
     return (Q + Q.T) / 2
+
+
+def theoretical_gap(Q, d):
+    """delta = theta_d - theta_{d+1} of a symmetric Q, theta descending:
+    the gap below its top-d eigenspace."""
+    theta = np.linalg.eigvalsh(Q)[::-1]
+    return theta[d - 1] - theta[d]
+
+
+def davis_kahan_bound(rc, R_hat, R, d):
+    """Yu, Wang and Samworth's sin-theta bound 2 |Q_hat - Q|_2 / delta
+    (Biometrika 102, 2015) on the angle between a top eigenvector of
+    Q_hat and the top-d eigenspace of Q, both formed by
+    :func:`rayleigh_dense` from R_hat and R, and delta the
+    :func:`theoretical_gap` of Q."""
+    Q = rayleigh_dense(rc, R)
+    error = np.linalg.norm(rayleigh_dense(rc, R_hat) - Q, 2)
+    return 2 * error / theoretical_gap(Q, d)
 
 
 def lifted_basis(rc, channel, sub):

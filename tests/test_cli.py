@@ -641,17 +641,19 @@ class TestHostileInput:
 
         def identity_replaced(code, unit, H0, tol):
             dims, mats = original(code, unit, H0, tol)
-            # E_21 and the skew elements are orthogonal to vec(I) under the
-            # Frobenius product, so hr_basis finds no identity in the span
+            # (E_11 - E_22)/sqrt(2) is a unit traceless symmetric matrix,
+            # orthogonal to I and to every skew element: the basis stays
+            # orthonormal and only the identity check of hr_basis fires
             mats = mats.copy()
             mats[:, 0] = 0.0
-            mats[:, 0, 1, 0] = 1.0
+            mats[:, 0, 0, 0] = np.sqrt(0.5)
+            mats[:, 0, 1, 1] = -np.sqrt(0.5)
             return dims, mats
 
         monkeypatch.setattr(subspace, "_channel_bases", identity_replaced)
         self.assert_one_error(
             ["bspace", "--code", "alamouti", "--rx", "2", "--seed", "1"],
-            capsys, "identity not in the subspace span (residual 1.000e+00)")
+            capsys, "first basis element is not I/sqrt(K): deviation 1.414e+00")
 
     def test_estimate_checks_tol_before_simulating(self, monkeypatch, capsys):
         def no_simulation(config):

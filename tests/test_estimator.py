@@ -10,9 +10,9 @@ from ostbc_blind import (ChannelRealization, ConstellationModel,
                          lift_to_channel, predicted_eigenvalues,
                          principal_angles, realify, run_estimate, sample_R,
                          simulate, theoretical_R, underline, vec)
-from oracles import (build_A_dense, dense_phi, lifted_basis,
-                     mp_principal_angles, rayleigh_dense, simulate_oneshot,
-                     vector_subspace_angle)
+from oracles import (build_A_dense, davis_kahan_bound, dense_phi,
+                     lifted_basis, mp_principal_angles, rayleigh_dense,
+                     simulate_oneshot, vector_subspace_angle)
 
 
 def random_spd(rng, k, lo=0.5, hi=2.0):
@@ -550,3 +550,32 @@ class TestRunEstimate:
         v = vec(b)
         resid = np.linalg.norm(v - span @ (span.T @ v)) / np.linalg.norm(v)
         assert resid <= 1e-8
+
+
+class TestDavisKahan:
+    def test_angle_within_the_sin_theta_bound(self, every_code):
+        # sin(angle) <= 2 |Q_hat - Q|_2 / delta holds wherever the bound is
+        # below 1; when d = 2MN the cluster is the whole space
+        code = every_code
+        bounded = 0
+        for M in (1, 2, 4):
+            rc = realify(code, M)
+            cm = ConstellationModel.iid_pm1(code.K)
+            for J, sigma2 in ((100, 0.01), (10 ** 3, 1), (10 ** 4, 10),
+                              (100, 10)):
+                for seed in (1, 2):
+                    report = run_estimate(
+                        SimulationConfig(code, M, cm, J, sigma2, seed))
+                    # simulate draws the channel first from its seed
+                    channel = draw_channel(code.N, M,
+                                           np.random.default_rng(seed))
+                    d = compute_bspace(code, channel).dim
+                    if d == rc.channel_len:
+                        continue
+                    R = theoretical_R(rc, channel.h0, cm, sigma2)
+                    bound = davis_kahan_bound(rc, sample_R(report.blocks),
+                                              R, d)
+                    if bound < 1:
+                        bounded += 1
+                        assert np.sin(report.subspace_angle) <= bound
+        assert bounded > 0

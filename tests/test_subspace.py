@@ -530,22 +530,40 @@ class TestHurwitzRadon:
         assert hr.max_involution_residual <= 1e-10
         assert hr.max_anticommute_residual <= 1e-10
 
-    def test_reordered_basis_spans_same_space(self, alamouti):
+    def test_reordered_basis_is_refused(self, alamouti):
+        # the basis is checked in its documented order, not reordered
         sub = compute_bstar(alamouti)
-        shuffled = AmbiguitySubspace(sub.code, sub.kind, sub.M, sub.dim,
-                                     tuple(reversed(sub.basis)), sub.tol)
-        hr_a = hr_basis(sub)
-        hr_b = hr_basis(shuffled)
-        span_a = [hr_a.identity] + list(hr_a.family)
-        span_b = [hr_b.identity] + list(hr_b.family)
-        assert spans_match(span_a, span_b)
+        reversed_basis = AmbiguitySubspace(sub.code, sub.kind, sub.M, sub.dim,
+                                           tuple(reversed(sub.basis)), sub.tol)
+        with pytest.raises(AmbiguityStructureError,
+                           match=r"^first basis element is not I/sqrt\(K\): "
+                                 r"deviation \S+$"):
+            hr_basis(reversed_basis)
 
     def test_dependent_basis_detected(self, alamouti):
         half = np.eye(4) / 2
         fake = AmbiguitySubspace(alamouti, "invariant", None, 2, (half, half),
                                  1e-9)
-        with pytest.raises(AmbiguityStructureError, match="linearly dependent"):
+        with pytest.raises(AmbiguityStructureError,
+                           match="^basis is not orthonormal: Gram deviation "
+                                 "1.414e[+]00$"):
             hr_basis(fake)
+
+    def test_report_measures_the_basis_as_computed(self, every_code):
+        # each family element is its basis element rescaled, so an exactly
+        # skew basis element reports an exactly zero skew residual
+        code = every_code
+        subs = [compute_bstar(code)] + [
+            compute_bspace(code, draw_channel(code.N, M,
+                                              np.random.default_rng(1)))
+            for M in range(1, code.N + 2)]
+        for sub in subs:
+            hr = hr_basis(sub)
+            assert hr.family_size == sub.dim - 1
+            for f, b in zip(hr.family, sub.basis[1:]):
+                assert np.vdot(f, b) > 0
+                assert np.linalg.norm(f / np.linalg.norm(f) - b) <= 1e-15
+            assert hr.max_skew_residual == 0.0
 
     def test_corrupted_subspace_detected(self):
         code = builtin_code("real2")
