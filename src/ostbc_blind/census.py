@@ -21,7 +21,7 @@ from ._record import Record
 from .embed import vec
 from .estimator import _check_channel_draw, _gaussian_channel
 from .gamma import unit_gammas
-from .subspace import (RANK_TOL, SPAN_ANGLE_TOL, _angles, _channel_bases,
+from .subspace import (MAX_BYTES, RANK_TOL, SPAN_ANGLE_TOL, _channel_bases,
                        compute_bstar)
 
 # Byte budget of the channel draws and kernel matrices of one stacked
@@ -48,9 +48,9 @@ class CensusResult(Record):
     tol: float
     d_mode: dict                # M -> the dimension every trial observed
     d_star: int
-    M_star: object              # smallest matching M, or None if not found
+    M_star: object              # first M at dim B*, or None if not reached
     dims: np.ndarray            # int: each trial's dimension
-    angles: np.ndarray          # max principal angle to B*, radians
+    angles: np.ndarray          # largest principal angle of B* to B(H), radians
 
     _hidden = ("dims", "angles")
 
@@ -75,34 +75,39 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
     channels as one (chunk, 2, N, M) normal array, and trial t takes the
     t-th 2NM normals of the stream whatever the chunk sizes, so the
     results do not depend on how the trials are grouped. The trials at
-    one M run as stacked passes of :func:`_chunk_trials` trials each: one
-    SVD for the kernels of the whole chunk and one for each of the two
-    principal-angle steps. Trial t has the dimension, checks and basis
+    one M run as stacked passes of :func:`_chunk_trials` trials each, with
+    two SVDs for the whole chunk: the kernels (past N, after one QR) and
+    the containment residuals. Trial t has the dimension, checks and basis
     bits of :func:`compute_bspace` as if it ran alone on the t-th channel
-    that :func:`draw_channel` draws from the stream; its angle is
-    :func:`_angles` of that basis and B*'s, measured on the kernel's own
-    orthonormal bases as they are, so it is bit for bit the same for any
-    chunking and agrees with :func:`principal_angles` to rounding. A pass
-    whose trials disagree on the dimension builds no bases and computes
-    no angles: the check at the end of that M fails the run.
+    that :func:`draw_channel` draws from the stream. B* lies inside every
+    B(H), so the trial's angle is arcsin of the largest singular value of
+    Q* - Qa (Qa^T Q*), with Qa and Q* the kernel's own orthonormal bases
+    of B(H) and B*: the largest principal angle between the two spans. A
+    pass whose trials disagree on the dimension builds no bases and
+    computes no angles: the check at the end of that M fails the run. The
+    critical count M* is the first M at dim B*, where B(H) = B*.
 
-    The critical count is the smallest M at which every trial's subspace
-    equals the invariant space (same dimension and all principal angles
-    within :data:`SPAN_ANGLE_TOL` = 1e-8 rad). Raises ValueError, before
-    any channel is drawn, when the draw of one channel at M_max exceeds
-    :data:`~.subspace.MAX_BYTES`. Raises :class:`CensusError`
+    Raises ValueError, before any channel is drawn, when the draw of one
+    channel at M_max or the result arrays (16 bytes per trial and M)
+    exceed :data:`~.subspace.MAX_BYTES`. Raises :class:`CensusError`
     when the trials at one M disagree on the dimension (the message gives
-    the observed histogram), or the dimension fails to be non-increasing,
-    bounded below by the invariant dimension and equal to it at every
-    M >= N: whether gamma(B) H = 0 depends on H only through its column
-    space, almost surely all of C^N once M >= N, so there B(H) is the
-    invariant space.
+    the observed histogram); when the dimension fails to be
+    non-increasing, bounded below by the invariant dimension and equal to
+    it at every M >= N (whether gamma(B) H = 0 depends on H only through
+    its column space, almost surely all of C^N once M >= N); or when a
+    trial's B(H) misses B* by more than :data:`SPAN_ANGLE_TOL` = 1e-8 rad
+    (the message names the first such trial and its angle).
     """
     if M_max < 1:
         raise ValueError(f"M_max must be >= 1, got {M_max}")
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     _check_channel_draw(code.N, M_max)
+    nbytes = 16 * trials * M_max
+    if nbytes > MAX_BYTES:
+        raise ValueError(f"{trials} trials at M = 1..{M_max} need {nbytes} "
+                         f"bytes of per-trial results, above the budget of "
+                         f"{MAX_BYTES} bytes")
     bstar = compute_bstar(code, tol)
     unit = unit_gammas(code)
     qstar = vec(np.stack(bstar.basis)).T
@@ -118,7 +123,9 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
             dims[M - 1, start:stop], bases = _channel_bases(code, unit, H0, tol)
             if bases is not None:
                 qa = vec(bases).swapaxes(-1, -2)
-                angles[M - 1, start:stop] = _angles(qa, qstar).max(axis=-1)
+                resid = qstar - qa @ (qa.swapaxes(-1, -2) @ qstar)
+                sines = np.linalg.svd(resid, compute_uv=False)[:, 0]
+                angles[M - 1, start:stop] = np.arcsin(np.minimum(sines, 1.0))
         if (dims[M - 1] != dims[M - 1, 0]).any():
             hist = Counter(dims[M - 1].tolist())
             raise CensusError(
@@ -126,7 +133,6 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
                 f"a single value; deterministic-dimension check failed")
     dims.flags.writeable = angles.flags.writeable = False
     d_mode = dict(zip(m_range, dims[:, 0].tolist()))
-    matches = (dims[:, 0] == bstar.dim) & (angles <= SPAN_ANGLE_TOL).all(axis=1)
     prev = None
     for M in m_range:
         if d_mode[M] < bstar.dim:
@@ -147,13 +153,13 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
             raise CensusError(
                 f"{code.name} M={M}: dimension {d_mode[M]} is not the "
                 f"invariant dimension {bstar.dim} although M >= N={code.N}")
-    m_star = next((M for M in m_range if matches[M - 1]), None)
-    if m_star is not None:
-        for M in m_range[m_star - 1:]:
-            if not matches[M - 1]:
-                raise CensusError(
-                    f"{code.name} M={M}: subspace no longer matches the "
-                    f"invariant space past M_star={m_star}")
+    missed = np.argwhere(~(angles <= SPAN_ANGLE_TOL))
+    if missed.size:
+        M, t = missed[0] + (1, 0)
+        raise CensusError(
+            f"{code.name} M={M} trial {t}: channel space misses the invariant "
+            f"space by {angles[M - 1, t]:.3e} rad, above {SPAN_ANGLE_TOL:g}")
+    m_star = next((M for M in m_range if d_mode[M] == bstar.dim), None)
     return CensusResult(code.name, m_range, trials, seed, tol, d_mode,
                         bstar.dim, m_star, dims, angles)
 

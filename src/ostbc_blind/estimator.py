@@ -89,6 +89,10 @@ class SimulationConfig(Record):
             raise ValueError(f"{self.M} receive antennas need a {rows} x "
                              f"{rows} covariance of {rows * rows * 8} bytes, "
                              f"above the budget of {MAX_BYTES} bytes")
+        if self.J * rows * 8 > MAX_BYTES:
+            raise ValueError(f"{self.J} blocks need a {self.J} x {rows} array "
+                             f"of received blocks of {self.J * rows * 8} "
+                             f"bytes, above the budget of {MAX_BYTES} bytes")
         _check_noise_variance(self.sigma2)
 
 

@@ -270,26 +270,6 @@ def hr_basis(sub):
                              float(anti))
 
 
-def _angles(qa, qb):
-    """Principal angles between the span of each basis of a stack and qb.
-
-    ``qa`` is a stack (T, n, ka) of orthonormal columns and ``qb`` an
-    orthonormal (n, kb) basis, both taken as they are. One stacked SVD per
-    step for the whole stack; returns the (T, min(ka, kb)) angles, each
-    row as :func:`principal_angles` orders it.
-    """
-    cross = qa.swapaxes(-1, -2) @ qb
-    sigma = np.linalg.svd(cross, compute_uv=False)
-    if qa.shape[-1] >= qb.shape[-1]:
-        resid = qb - qa @ cross
-    else:
-        resid = qa - qb @ cross.swapaxes(-1, -2)
-    mu = np.arcsin(np.clip(np.linalg.svd(resid, compute_uv=False), -1.0, 1.0))
-    # sigma holds cosines in ascending angle order, mu angles in descending
-    return np.where(sigma[..., ::-1] ** 2 >= 0.5, mu,
-                    np.arccos(np.clip(sigma[..., ::-1], -1.0, 1.0)))
-
-
 def _orth_basis(basis):
     """Orthonormal (n, rank) basis of the span of a sequence of matrices:
     one thin SVD of their vectors, cut at singular values above
@@ -300,7 +280,7 @@ def _orth_basis(basis):
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = np.count_nonzero(s > np.finfo(float).eps * max(a.shape) * s[0])
     # Fortran order, as LAPACK returns it: that fixes the BLAS kernels of
-    # the products in _angles and so the last bits of the angles.
+    # the products in principal_angles and so the last bits of the angles.
     return np.asfortranarray(u[:, :rank])
 
 
@@ -312,9 +292,20 @@ def principal_angles(basis_a, basis_b):
     below pi/4, where the cosine loses precision. Returned in descending
     order, as many as the smaller dimension. Each basis may be in any
     order and linearly dependent: both are orthonormalized first by
-    :func:`_orth_basis`, then measured by :func:`_angles`.
+    :func:`_orth_basis`. The census measures its one angle per trial as
+    the arcsine route alone (:func:`~.census.find_mstar`).
     """
-    return _angles(_orth_basis(basis_a)[None], _orth_basis(basis_b))[0]
+    qa, qb = _orth_basis(basis_a), _orth_basis(basis_b)
+    cross = qa.T @ qb
+    sigma = np.linalg.svd(cross, compute_uv=False)
+    if qa.shape[1] >= qb.shape[1]:
+        resid = qb - qa @ cross
+    else:
+        resid = qa - qb @ cross.T
+    mu = np.arcsin(np.clip(np.linalg.svd(resid, compute_uv=False), -1.0, 1.0))
+    # sigma holds cosines in ascending angle order, mu angles in descending
+    return np.where(sigma[::-1] ** 2 >= 0.5, mu,
+                    np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
 
 
 def spans_match(basis_a, basis_b):

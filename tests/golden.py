@@ -261,6 +261,13 @@ def _lines():
         # drawing a 2 x 22369622 channel peaks above the memory budget:
         # exit status 1 and one error line before anything is drawn
         ["bspace", "--code", "alamouti", "--rx", "22369622", "--seed", "1"],
+        # 10**10 blocks of 2ML = 8 floats, and 10**10 census trials at
+        # M = 1..3, exceed the memory budget: exit status 1 and one error
+        # line that names the size, before anything is drawn
+        ["estimate", "--code", "alamouti", "--rx", "2", "--blocks",
+         "10000000000", "--sigma2", "0.01", "--seed", "1"],
+        ["census", "--code", "alamouti", "--rx-max", "3", "--trials",
+         "10000000000", "--seed", "1"],
         # a census far past N, whose JSON holds only integers
         ["census", "--code", "alamouti", "--rx-max", "32", "--trials", "50",
          "--seed", "1", "--json", "c.json"],

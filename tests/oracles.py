@@ -5,8 +5,9 @@ the defining double sum and the factored product form for the ambiguity
 blocks, explicit Kronecker products for the dense channel operators and
 the channel lift, exact rational arithmetic (sympy) for kernel
 dimensions, per-column loops for the assembled operators, 50-digit
-arithmetic (mpmath) for principal angles, a QR and an arcsine for the
-angle between a vector and a subspace, dense eigenvalues for the
+arithmetic (mpmath) for principal angles, both routes of Knyazev and
+Argentati for the census angle, a QR and an arcsine for the angle
+between a vector and a subspace, dense eigenvalues for the
 Davis-Kahan bound on the estimator's angle, a LAPACK QR for the orthonormal
 Stiefel samples, one batch of draws for the Ky Fan sample check and for
 the link noise, and one trial at a time for the census. It also holds the
@@ -21,7 +22,7 @@ import numpy as np
 
 from ostbc_blind import (OstbCode, build_A, builtin_code, compute_bspace,
                          compute_bstar, draw_channel, lift_to_channel,
-                         overline, random_stiefel, realify, subspace, vec)
+                         overline, random_stiefel, realify, vec)
 
 
 def kron(a, b):
@@ -264,9 +265,30 @@ def census_records_per_trial(code, M_max, trials, seed, tol=1e-9):
         for trial in range(trials):
             sub = compute_bspace(code, draw_channel(code.N, M, rng), tol)
             dims[M - 1, trial] = sub.dim
-            angles[M - 1, trial] = np.max(subspace._angles(
+            angles[M - 1, trial] = np.max(two_route_angles(
                 vec(np.stack(sub.basis)).T[None], qstar))
     return dims, angles
+
+
+def two_route_angles(qa, qb):
+    """Principal angles between the span of each basis of a stack and qb,
+    by both routes of Knyazev and Argentati (2002): arcsines of the
+    residual's singular values below pi/4, arccosines of Qa^T qb's above.
+
+    ``qa`` is a stack (T, n, ka) of orthonormal columns and ``qb`` an
+    orthonormal (n, kb) basis, both taken as they are; returns the
+    (T, min(ka, kb)) angles in descending order. Below pi/4 the largest
+    is the census angle, bit for bit."""
+    cross = qa.swapaxes(-1, -2) @ qb
+    sigma = np.linalg.svd(cross, compute_uv=False)
+    if qa.shape[-1] >= qb.shape[-1]:
+        resid = qb - qa @ cross
+    else:
+        resid = qa - qb @ cross.swapaxes(-1, -2)
+    mu = np.arcsin(np.clip(np.linalg.svd(resid, compute_uv=False), -1.0, 1.0))
+    # sigma holds cosines in ascending angle order, mu angles in descending
+    return np.where(sigma[..., ::-1] ** 2 >= 0.5, mu,
+                    np.arccos(np.clip(sigma[..., ::-1], -1.0, 1.0)))
 
 
 def mp_principal_angles(basis_a, basis_b, dps=50):

@@ -11,7 +11,7 @@ from ostbc_blind import (BUILTIN_CODE_NAMES, CensusError, builtin_code,
                          compute_bspace, compute_bstar, draw_channel,
                          find_mstar, principal_angles, write_census_csv)
 from ostbc_blind import census
-from ostbc_blind.cli import census_summary
+from ostbc_blind.cli import census_summary, main
 from ostbc_blind.estimator import _gaussian_channel
 from ostbc_blind.ostbc import ChannelRealization
 
@@ -171,20 +171,59 @@ class TestTheoryChecks:
             find_mstar(real4x3(), 2, 5, seed=0)
 
     def test_mismatch_past_mstar_raises(self, alamouti, monkeypatch):
-        original = census._angles
-        calls = []
-
-        def off_at_second_pass(bases, qstar):
-            calls.append(len(bases))
-            angles = original(bases, qstar)
-            return angles + 1.0 if len(calls) == 2 else angles
-
-        monkeypatch.setattr(census, "_angles", off_at_second_pass)
+        # B* lies inside every B(H): a basis turned off it at M = 2, past
+        # M* = 1, fails the run and names the trial and the angle
+        patch_at(monkeypatch, rotated_off_bstar(3, 1e-3), (2,))
         with pytest.raises(CensusError,
-                           match=r"^alamouti M=2: subspace no longer matches "
-                                 r"the invariant space past M_star=1$"):
+                           match=r"^alamouti M=2 trial 3: channel space misses "
+                                 r"the invariant space by 1\.000e-03 rad, "
+                                 r"above 1e-08$"):
             find_mstar(alamouti, 2, 5, seed=0)
-        assert calls == [5, 5]
+
+    def test_basis_off_bstar_fails_the_cli_run(self, alamouti, monkeypatch,
+                                               tmp_path, capsys):
+        patch_at(monkeypatch, rotated_off_bstar(0, 1e-3), (2,))
+        csv_path, json_path = tmp_path / "c.csv", tmp_path / "c.json"
+        status = main(["census", "--code", "alamouti", "--rx-max", "3",
+                       "--trials", "5", "--seed", "0", "--csv", str(csv_path),
+                       "--json", str(json_path)])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: alamouti M=2 trial 0: channel space misses the invariant "
+            "space by 1.000e-03 rad, above 1e-08"]
+        assert not csv_path.exists() and not json_path.exists()
+
+    def test_results_above_the_budget(self, alamouti, monkeypatch):
+        # 10 trials at M = 1..3: two arrays of 16 * 30 = 480 bytes in all
+        def draw(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(census, "MAX_BYTES", 479)
+        monkeypatch.setattr(census, "_gaussian_channel", draw)
+        with pytest.raises(ValueError,
+                           match=r"^10 trials at M = 1\.\.3 need 480 bytes of "
+                                 r"per-trial results, above the budget of 479 "
+                                 r"bytes$"):
+            find_mstar(alamouti, 3, 10, seed=0)
+        monkeypatch.setattr(census, "MAX_BYTES", 480)
+        with pytest.raises(AssertionError, match="was drawn"):
+            find_mstar(alamouti, 3, 10, seed=0)
+
+
+def rotated_off_bstar(trial, angle):
+    """A change for :func:`patch_at`: the trial's second basis element
+    turned by ``angle`` towards (E_11 - E_22)/sqrt(2), a unit matrix
+    orthogonal to I and to every skew matrix, so the basis stays
+    orthonormal and of the same dimension but misses B* by ``angle``."""
+    def change(dims, bases):
+        bases = bases.copy()
+        K = bases.shape[-1]
+        turn = np.zeros((K, K))
+        turn[0, 0], turn[1, 1] = np.sqrt(0.5), -np.sqrt(0.5)
+        bases[trial, 1] = np.cos(angle) * bases[trial, 1] + np.sin(angle) * turn
+        return dims, bases
+    return change
 
 
 def as_rows(dims, angles):
@@ -252,14 +291,17 @@ class TestBatchedCensus:
         calls = []
         svd = np.linalg.svd
 
-        def counting_svd(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return svd(*args, **kwargs)
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        find_mstar(alamouti, 4, 100, 5)
-        # B*: its kernel; per M: the kernels and the two angle steps.
-        assert len(calls) <= 1 + 3 * 4, calls
+        find_mstar(alamouti, 3, 100, 5)
+        # B*'s kernel, then per M one pass of 100 trials with two SVDs: the
+        # skew kernels (16 rows per antenna up to N = 2) and the
+        # containment residuals
+        pass_at = [[(100, 16 * min(M, 2), 6), (100, 16, 4)] for M in (1, 2, 3)]
+        assert calls == [(1, 32, 6)] + sum(pass_at, [])
 
     def test_chunk_counts_the_draw_and_the_factor_matrix(self, alamouti):
         # alamouti (N = 2, L = 2, K = 4) at M = 64: a 6144-byte draw and a

@@ -697,11 +697,12 @@ class TestHostileInput:
             assert status == 0 and captured.err == ""
 
     @pytest.mark.parametrize("argv, needle", [
-        # 8e18 bytes (6.94 EiB), which no 64-bit host can map, so the
-        # allocation fails at once
+        # its 1.6e19 bytes of results are refused against the budget
+        # before anything is drawn
         pytest.param(["census", "--code", "scalar", "--rx-max", "1",
                       "--trials", "1000000000000000000", "--seed", "1"],
-                     "Unable to allocate 6.94 EiB", id="census"),
+                     "need 16000000000000000000 bytes of per-trial results, "
+                     "above the budget of 2147483648 bytes", id="census"),
         # its 8e18-byte draw is refused against the budget before it is made
         pytest.param(["kyfan", "--m", "1000000000", "--q", "1", "--seed", "1"],
                      "above the budget of 2147483648 bytes", id="kyfan"),

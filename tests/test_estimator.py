@@ -199,6 +199,17 @@ class TestSimulate:
                            r"budget of 1152 bytes$"):
             SimulationConfig(code, 4, cm, 1, 0.0, 1)
 
+    def test_received_block_budget(self, monkeypatch):
+        # alamouti at M = 2: J blocks of 2ML = 8 floats, 64 J bytes
+        code = builtin_code("alamouti")
+        cm = ConstellationModel.iid_pm1(code.K)
+        monkeypatch.setattr(estimator, "MAX_BYTES", 64 * 10)
+        assert SimulationConfig(code, 2, cm, 10, 0.0, 1).J == 10
+        with pytest.raises(ValueError, match=r"^11 blocks need a 11 x 8 array "
+                           r"of received blocks of 704 bytes, above the "
+                           r"budget of 640 bytes$"):
+            SimulationConfig(code, 2, cm, 11, 0.0, 1)
+
 
 class TestSampleR:
     def test_single_block(self):

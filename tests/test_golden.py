@@ -27,6 +27,18 @@ CHANNEL_BUDGET = {
     "bspace --code alamouti --rx 22369622 --seed 1": 1,
 }
 
+# Command lines whose result arrays exceed the memory budget, each with
+# the one error line it must print before anything is drawn.
+RESULT_BUDGET = {
+    "estimate --code alamouti --rx 2 --blocks 10000000000 --sigma2 0.01 "
+    "--seed 1": "error: 10000000000 blocks need a 10000000000 x 8 array of "
+    "received blocks of 640000000000 bytes, above the budget of 2147483648 "
+    "bytes",
+    "census --code alamouti --rx-max 3 --trials 10000000000 --seed 1":
+    "error: 10000000000 trials at M = 1..3 need 480000000000 bytes of "
+    "per-trial results, above the budget of 2147483648 bytes",
+}
+
 
 def test_recorded_outputs_are_reproduced():
     manifest = golden.load()
@@ -79,6 +91,17 @@ def test_channel_budget_lines_keep_their_exit_status():
     assert outputs["stderr"].decode().splitlines() == [
         "error: 22369622 receive antennas need 2147483712 bytes to draw a "
         "2 x 22369622 channel, above the budget of 2147483648 bytes"]
+
+
+@pytest.mark.parametrize("line", RESULT_BUDGET)
+def test_result_budget_lines_fail_in_one_error_line(line):
+    recorded = {" ".join(e["argv"]): e["status"]
+                for e in golden.load()["lines"]}
+    assert recorded.get(line) == 1
+    status, outputs = golden.run_line(line.split(), {})
+    assert status == 1
+    assert outputs["stderr"].decode().splitlines() == [RESULT_BUDGET[line]]
+    assert outputs["stdout"] == b""
 
 
 def test_update_lists_each_changed_line_and_part(tmp_path, monkeypatch,
