@@ -19,10 +19,9 @@ import numpy as np
 from ._floattext import CHUNK_NUMBERS
 from ._record import Record
 from .embed import vec
-from .estimator import _check_channel_draw, _gaussian_channel
+from .estimator import _check_budget, _draw_bytes, _gaussian_channel
 from .gamma import unit_gammas
-from .subspace import (MAX_BYTES, RANK_TOL, SPAN_ANGLE_TOL, _channel_bases,
-                       compute_bstar)
+from .subspace import RANK_TOL, SPAN_ANGLE_TOL, _channel_bases, compute_bstar
 
 # Byte budget of the channel draws and kernel matrices of one stacked
 # pass. The census runs the trials at one antenna count in chunks of as
@@ -59,7 +58,7 @@ def _chunk_trials(code, M):
     """Trials per stacked pass at M receive antennas, from CHUNK_BYTES: a
     trial's channel draw and its 2LK min(M, N) x (1 + K(K-1)/2) kernel
     matrix, the images of the identity and of the skew units."""
-    trial_bytes = (_check_channel_draw(code.N, M) + 16 * code.L * code.K
+    trial_bytes = (_draw_bytes(code.N, M) + 16 * code.L * code.K
                    * min(M, code.N) * (1 + code.K * (code.K - 1) // 2))
     # The budget does not count a trial's other arrays (singular values,
     # basis and angle work); for tiny codes they would dominate a pass, so
@@ -87,9 +86,10 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
     computes no angles: the check at the end of that M fails the run. The
     critical count M* is the first M at dim B*, where B(H) = B*.
 
-    Raises ValueError, before any channel is drawn, when the draw of one
-    channel at M_max or the result arrays (16 bytes per trial and M)
-    exceed :data:`~.subspace.MAX_BYTES`. Raises :class:`CensusError`
+    Raises ValueError, before any channel is drawn, when the result arrays
+    (16 bytes per trial and M) and the draw of one channel at M_max exceed
+    the budget of :func:`~.estimator._check_budget`; a pass holds more
+    only up to a part that grows with neither. Raises :class:`CensusError`
     when the trials at one M disagree on the dimension (the message gives
     the observed histogram); when the dimension fails to be
     non-increasing, bounded below by the invariant dimension and equal to
@@ -102,12 +102,8 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
         raise ValueError(f"M_max must be >= 1, got {M_max}")
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
-    _check_channel_draw(code.N, M_max)
-    nbytes = 16 * trials * M_max
-    if nbytes > MAX_BYTES:
-        raise ValueError(f"{trials} trials at M = 1..{M_max} need {nbytes} "
-                         f"bytes of per-trial results, above the budget of "
-                         f"{MAX_BYTES} bytes")
+    _check_budget(16 * trials * M_max + _draw_bytes(code.N, M_max),
+                  f"--rx-max {M_max} --trials {trials}")
     bstar = compute_bstar(code, tol)
     unit = unit_gammas(code)
     qstar = vec(np.stack(bstar.basis)).T
@@ -126,7 +122,7 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
                 resid = qstar - qa @ (qa.swapaxes(-1, -2) @ qstar)
                 sines = np.linalg.svd(resid, compute_uv=False)[:, 0]
                 angles[M - 1, start:stop] = np.arcsin(np.minimum(sines, 1.0))
-        if (dims[M - 1] != dims[M - 1, 0]).any():
+        if dims[M - 1].min() != dims[M - 1].max():
             hist = Counter(dims[M - 1].tolist())
             raise CensusError(
                 f"{code.name} M={M}: observed dimensions {dict(hist)} are not "
@@ -153,9 +149,10 @@ def find_mstar(code, M_max, trials, seed, tol=RANK_TOL):
             raise CensusError(
                 f"{code.name} M={M}: dimension {d_mode[M]} is not the "
                 f"invariant dimension {bstar.dim} although M >= N={code.N}")
-    missed = np.argwhere(~(angles <= SPAN_ANGLE_TOL))
-    if missed.size:
-        M, t = missed[0] + (1, 0)
+    within = angles.max(axis=1) <= SPAN_ANGLE_TOL   # a NaN reaches the max
+    if not within.all():
+        M = 1 + int(np.argmin(within))
+        t = int(np.argmin(angles[M - 1] <= SPAN_ANGLE_TOL))
         raise CensusError(
             f"{code.name} M={M} trial {t}: channel space misses the invariant "
             f"space by {angles[M - 1, t]:.3e} rad, above {SPAN_ANGLE_TOL:g}")

@@ -15,13 +15,14 @@ import numpy as np
 from ._floattext import CHUNK_NUMBERS, float_text
 from .census import CensusError, find_mstar, write_census_csv
 from .estimator import (ConstellationModel, ConvergenceError,
-                        SimulationConfig, draw_channel, run_estimate)
+                        SimulationConfig, _check_budget, draw_channel,
+                        run_estimate)
 from .kyfan import (MAX_SAMPLES, KyFanError, SpectrumSpec,
                     kyfan_sample_check)
 from .ostbc import (BUILTIN_CODE_NAMES, VALIDATION_TOL, builtin_code,
                     load_code, validate_code)
-from .subspace import (MAX_BYTES, RANK_TOL, AmbiguityStructureError,
-                       SubspaceError, compute_bspace, compute_bstar, hr_basis)
+from .subspace import (RANK_TOL, AmbiguityStructureError, SubspaceError,
+                       compute_bspace, compute_bstar, hr_basis)
 
 _ERRORS = (ValueError, KeyError, OSError, SubspaceError,
            AmbiguityStructureError, CensusError, KyFanError, ConvergenceError,
@@ -227,16 +228,14 @@ def cmd_kyfan(args):
         raise ValueError(f"--m must be a positive matrix size, got {args.m}")
     if not 1 <= args.q <= args.m:
         raise ValueError(f"q must lie in [1, {args.m}], got {args.q}")
-    # the spectrum holds about five m x m arrays: the draw, P, P - P^T,
-    # (P + P^T)/2 and the eigenvectors (with their reversed copy)
-    nbytes = 5 * 8 * args.m * args.m
-    if nbytes > MAX_BYTES:
-        raise ValueError(f"--m {args.m} needs about {nbytes} bytes for five "
-                         f"{args.m} x {args.m} arrays, above the budget of "
-                         f"{MAX_BYTES} bytes")
+    # seven m x m arrays: eigh's input, copy and workspace beside P and the
+    # eigenvectors peaked at 6.2-6.5 of them (RSS, m = 1500 and 2500, any q)
+    _check_budget(7 * 8 * args.m * args.m, f"--m {args.m}")
     rng = np.random.default_rng([args.seed, 0])
-    g = rng.standard_normal((args.m, args.m))
-    spec = SpectrumSpec.from_matrix((g + g.T) / 2, args.q)
+    P = rng.standard_normal((args.m, args.m))
+    P += P.T   # (g + g^T) / 2 in place: the draw is not held beside P
+    P /= 2
+    spec = SpectrumSpec.from_matrix(P, args.q)
     report = kyfan_sample_check(spec, args.samples, [args.seed, 1])
     payload = {
         "m": report.m,

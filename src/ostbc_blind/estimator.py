@@ -19,8 +19,8 @@ import numpy as np
 from ._record import Record
 from .embed import _check_tol
 from .ostbc import ChannelRealization, _phi, _phi_t, build_A, realify
-from .subspace import (MAX_BYTES, RANK_TOL, compute_bspace,
-                       lift_to_channel, principal_angles)
+from .subspace import (RANK_TOL, compute_bspace, lift_to_channel,
+                       principal_angles)
 
 
 class ConstellationModel(Record):
@@ -84,15 +84,9 @@ class SimulationConfig(Record):
             raise ValueError(f"block count must be >= 1, got {self.J}")
         if self.M < 1:
             raise ValueError(f"receive-antenna count must be >= 1, got {self.M}")
-        rows = 2 * self.M * self.code.L
-        if rows * rows * 8 > MAX_BYTES:
-            raise ValueError(f"{self.M} receive antennas need a {rows} x "
-                             f"{rows} covariance of {rows * rows * 8} bytes, "
-                             f"above the budget of {MAX_BYTES} bytes")
-        if self.J * rows * 8 > MAX_BYTES:
-            raise ValueError(f"{self.J} blocks need a {self.J} x {rows} array "
-                             f"of received blocks of {self.J * rows * 8} "
-                             f"bytes, above the budget of {MAX_BYTES} bytes")
+        rows = 2 * self.M * self.code.L   # held at once: blocks, symbols, R
+        _check_budget(8 * (self.J * (rows + self.code.K) + rows * rows),
+                      f"--rx {self.M} --blocks {self.J}")
         _check_noise_variance(self.sigma2)
 
 
@@ -115,7 +109,11 @@ class EstimateReport(Record):
 
 
 def draw_channel(N, M, rng):
-    """Channel with i.i.d. complex Gaussian entries, unit variance per entry."""
+    """Channel with i.i.d. complex Gaussian entries, unit variance per entry;
+    ValueError before the draw when M < 1 or its bytes exceed the budget."""
+    if M < 1:
+        raise ValueError(f"receive-antenna count must be >= 1, got {M}")
+    _check_budget(_draw_bytes(N, M), f"--rx {M}")
     return ChannelRealization.from_matrix(_gaussian_channel(N, M, rng))
 
 
@@ -127,24 +125,28 @@ def _gaussian_channel(N, M, rng, count=None):
     real parts first, so a stack of count draws holds the bits of count
     single draws however the draws are split into stacks.
     """
-    _check_channel_draw(N, M)
     g = rng.standard_normal((2, N, M) if count is None else (count, 2, N, M))
     H0 = g[..., 0, :, :] + 1j * g[..., 1, :, :]
     H0 *= np.sqrt(0.5)
     return H0
 
 
-def _check_channel_draw(N, M):
-    """Peak bytes of drawing one (N, M) channel, three arrays of 16 N M
-    bytes; ValueError when M < 1 or they exceed the budget."""
-    if M < 1:
-        raise ValueError(f"receive-antenna count must be >= 1, got {M}")
-    nbytes = 48 * N * M
+def _draw_bytes(N, M):
+    """Peak bytes of drawing one (N, M) channel: three arrays of 16 N M
+    bytes, the normals, the imaginary part and the complex channel."""
+    return 48 * N * M
+
+
+MAX_BYTES = 2 ** 31   # what one command may hold at once
+
+
+def _check_budget(nbytes, what):
+    """ValueError when ``nbytes``, what a command given the flags ``what``
+    holds at once, exceed the budget. A count leaves out what grows with
+    no flag, such as the noise chunk of :data:`NOISE_CHUNK_NUMBERS`."""
     if nbytes > MAX_BYTES:
-        raise ValueError(f"{M} receive antennas need {nbytes} bytes to draw "
-                         f"a {N} x {M} channel, above the budget of "
+        raise ValueError(f"{what} needs {nbytes} bytes, above the budget of "
                          f"{MAX_BYTES} bytes")
-    return nbytes
 
 
 def theoretical_R(rc, h0, cm, sigma2):
@@ -189,7 +191,7 @@ def simulate(config):
     truth = config.constellation.draw(rng, config.J)
     blocks = truth @ A.T
     scale = np.sqrt(config.sigma2 / 2)
-    step = max(1, CHUNK_NUMBERS // rc.block_rows)
+    step = max(1, NOISE_CHUNK_NUMBERS // rc.block_rows)
     for start in range(0, config.J, step):
         part = blocks[start:start + step]
         part += rng.normal(0.0, scale, size=part.shape)
@@ -197,9 +199,8 @@ def simulate(config):
 
 
 #: Numbers per row chunk of the in-place noise pass of :func:`simulate`,
-#: which holds one chunk beside its arrays. The name is shared with
-#: ``_floattext.CHUNK_NUMBERS`` (8192), the value is not.
-CHUNK_NUMBERS = 1 << 16
+#: which holds one chunk beside its arrays.
+NOISE_CHUNK_NUMBERS = 1 << 16
 
 
 def sample_R(blocks):
@@ -293,9 +294,10 @@ def estimate_channel(rc, R):
     subspace angle do not depend on it.
     """
     R = np.asarray(R, dtype=float)
-    if not np.isfinite(R).all():
+    top, bottom = R.max(), R.min()   # NaN and +-inf reach one; no mask
+    if not np.isfinite([top, bottom]).all():
         raise ValueError("covariance has non-finite entries")
-    exp = min(-np.frexp(max(R.max(), -R.min()))[1], 1000)
+    exp = min(-np.frexp(max(top, -bottom))[1], 1000)
     n = rc.channel_len
     p = min(n, rc.code.K ** 2 + 4)
     V = np.linalg.qr(np.random.default_rng(0).standard_normal((n, p)))[0]

@@ -237,5 +237,6 @@ def kyfan_sample_check(spec, samples, seed):
                     f"but fails the maximizer characterization at residual "
                     f"tolerance {tol:.3e}")
         n_near += int(near.size)
+        del batch   # not held while the next batch is drawn
     return KyFanSampleReport(spec.m, spec.q, samples, seed, value, float(bound),
                              max_trace, n_near, True)

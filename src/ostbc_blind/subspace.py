@@ -29,11 +29,6 @@ SPAN_ANGLE_TOL = 1e-8  # radians: spans this close in every angle are equal
 # largest residual 4.0, the smallest kept value 1.5e11; past N, through
 # the factor at M = N+1..N+3 and 64: 1.23, 4.0 and 1.5e13.
 RESIDUAL_ROUNDING = 32
-# Byte budget of the largest array a command builds, checked before it is
-# allocated: the estimator's (2ML, 2ML) covariance (2**31 B hold 2ML up
-# to 16384), the draw of one channel, the one array of bspace and the
-# census that grows with M, or kyfan's m x m matrices.
-MAX_BYTES = 2 ** 31
 
 
 class SubspaceError(RuntimeError):

@@ -275,6 +275,9 @@ def _lines():
         # maximizers, as far as that deficit allows
         ["kyfan", "--m", "2", "--q", "1", "--samples", "40000", "--seed", "2",
          "--json", "k.json"],
+        # seven 100000 x 100000 float arrays exceed the memory budget: exit
+        # status 1 and one error line before the matrix is drawn
+        ["kyfan", "--m", "100000", "--q", "1", "--seed", "1"],
         # a code file with no L, with a number for C or with an empty
         # matrix in C fails validation with exit status 1
         ["codes", "validate", "--code-file", "c-number.json"],

@@ -10,7 +10,7 @@ import pytest
 from ostbc_blind import (BUILTIN_CODE_NAMES, CensusError, builtin_code,
                          compute_bspace, compute_bstar, draw_channel,
                          find_mstar, principal_angles, write_census_csv)
-from ostbc_blind import census
+from ostbc_blind import census, estimator
 from ostbc_blind.cli import census_summary, main
 from ostbc_blind.estimator import _gaussian_channel
 from ostbc_blind.ostbc import ChannelRealization
@@ -195,18 +195,18 @@ class TestTheoryChecks:
         assert not csv_path.exists() and not json_path.exists()
 
     def test_results_above_the_budget(self, alamouti, monkeypatch):
-        # 10 trials at M = 1..3: two arrays of 16 * 30 = 480 bytes in all
+        # 10 trials at M = 1..3: two arrays of 16 * 30 = 480 bytes, and the
+        # 288-byte draw of one 2 x 3 channel
         def draw(*args):
             raise AssertionError("a channel was drawn")
 
-        monkeypatch.setattr(census, "MAX_BYTES", 479)
+        monkeypatch.setattr(estimator, "MAX_BYTES", 767)
         monkeypatch.setattr(census, "_gaussian_channel", draw)
         with pytest.raises(ValueError,
-                           match=r"^10 trials at M = 1\.\.3 need 480 bytes of "
-                                 r"per-trial results, above the budget of 479 "
-                                 r"bytes$"):
+                           match=r"^--rx-max 3 --trials 10 needs 768 bytes, "
+                                 r"above the budget of 767 bytes$"):
             find_mstar(alamouti, 3, 10, seed=0)
-        monkeypatch.setattr(census, "MAX_BYTES", 480)
+        monkeypatch.setattr(estimator, "MAX_BYTES", 768)
         with pytest.raises(AssertionError, match="was drawn"):
             find_mstar(alamouti, 3, 10, seed=0)
 

@@ -491,6 +491,47 @@ def test_estimate_memory_is_its_arrays(tmp_path):
     assert (peak(80000) - peak(20000)) / 60000 <= 128
 
 
+def estimate_bytes(code, M, J):
+    rows = 2 * M * code.L
+    return 8 * (J * (rows + code.K) + rows * rows)
+
+
+@pytest.mark.parametrize("argv, count, sizes, bound", [
+    # blocks, symbols and covariance: the peak adds one noise chunk
+    pytest.param("estimate --code alamouti --rx 2 --blocks {} --sigma2 0.01",
+                 lambda J: estimate_bytes(builtin_code("alamouti"), 2, J),
+                 (50000, 200000), 2 ** 20, id="estimate-alamouti"),
+    pytest.param("estimate --code scalar --rx 1 --blocks {} --sigma2 0.01",
+                 lambda J: estimate_bytes(builtin_code("scalar"), 1, J),
+                 (50000, 200000), 2 ** 20, id="estimate-scalar"),
+    # results and one draw at M = 3: a pass adds its own, at most 1024
+    # trials of draws and kernel matrices in 4 MiB and their work
+    pytest.param("census --code alamouti --rx-max 3 --trials {}",
+                 lambda t: 16 * t * 3 + 48 * 2 * 3, (2000, 20000), 2 ** 23,
+                 id="census"),
+    # seven m x m arrays; one sample at q = m holds five
+    pytest.param("kyfan --m {0} --q {0} --samples 1",
+                 lambda m: 7 * 8 * m * m, (200, 400), 0, id="kyfan"),
+])
+def test_peak_is_what_the_budget_counts(argv, count, sizes, bound, capsys):
+    """Each budgeted command peaks at most ``bound`` above the bytes that
+    its check counts, and that excess does not grow with the flag."""
+    def excess(size):
+        line = argv.format(size).split() + ["--seed", "1"]
+        tracemalloc.start()
+        try:
+            assert main(line) == 0
+            return tracemalloc.get_traced_memory()[1] - count(size)
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    excess(sizes[0] // 4)  # warm up lazy imports and caches
+    small, large = map(excess, sizes)
+    assert max(small, large) <= bound, (small, large)
+    assert large <= small + 2 ** 18, (small, large)
+
+
 class TestHostileInput:
     """Bad input ends in one `error:` line, exit 1 and no warning."""
 
@@ -523,17 +564,18 @@ class TestHostileInput:
              "--sigma2", "0.1", "--seed", "1"], capsys, "receive-antenna count")
 
     def test_covariance_above_the_budget(self, capsys, monkeypatch):
-        # alamouti at --rx 3: 2ML = 12 rows, a 1152-byte covariance
+        # alamouti at --rx 3 --blocks 10: 2ML = 12 rows, K = 4 symbols,
+        # 8 (10 (12 + 4) + 12 * 12) = 2432 bytes
         def simulate(config):
             raise AssertionError("simulate ran")
 
-        monkeypatch.setattr(estimator, "MAX_BYTES", 1151)
+        monkeypatch.setattr(estimator, "MAX_BYTES", 2431)
         monkeypatch.setattr(estimator, "simulate", simulate)
         self.assert_one_error(
             ["estimate", "--code", "alamouti", "--rx", "3", "--blocks", "10",
              "--sigma2", "0.1", "--seed", "1"], capsys,
-            "3 receive antennas need a 12 x 12 covariance of 1152 bytes, "
-            "above the budget of 1151 bytes")
+            "--rx 3 --blocks 10 needs 2432 bytes, above the budget of 2431 "
+            "bytes")
 
     @staticmethod
     def no_draws(monkeypatch):
@@ -544,54 +586,73 @@ class TestHostileInput:
 
         monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
 
-    @pytest.mark.parametrize("argv", [
-        ["bspace", "--code", "alamouti", "--rx", "3", "--seed", "1"],
-        ["census", "--code", "alamouti", "--rx-max", "3", "--trials", "2",
-         "--seed", "1"],
-    ], ids=lambda argv: argv[0])
-    def test_channel_draw_above_the_budget(self, argv, capsys, monkeypatch):
-        # alamouti at --rx 3: the draw of a 2 x 3 channel peaks at
-        # 3 * 16 * 2 * 3 = 288 bytes
-        monkeypatch.setattr(estimator, "MAX_BYTES", 287)
+    # alamouti at --rx 3: the draw of a 2 x 3 channel peaks at
+    # 3 * 16 * 2 * 3 = 288 bytes; the census adds 16 bytes per trial and M
+    CHANNEL_DRAWS = [
+        pytest.param(["bspace", "--code", "alamouti", "--rx", "3", "--seed",
+                      "1"], "--rx 3", 288, id="bspace"),
+        pytest.param(["census", "--code", "alamouti", "--rx-max", "3",
+                      "--trials", "2", "--seed", "1"],
+                     "--rx-max 3 --trials 2", 288 + 16 * 2 * 3, id="census"),
+    ]
+
+    @pytest.mark.parametrize("argv, flags, nbytes", CHANNEL_DRAWS)
+    def test_channel_draw_above_the_budget(self, argv, flags, nbytes, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(estimator, "MAX_BYTES", nbytes - 1)
         self.no_draws(monkeypatch)
         self.assert_one_error(
-            argv, capsys, "3 receive antennas need 288 bytes to draw a 2 x 3 "
-            "channel, above the budget of 287 bytes")
+            argv, capsys, f"{flags} needs {nbytes} bytes, above the budget of "
+            f"{nbytes - 1} bytes")
 
     def test_channel_draw_at_the_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(estimator, "MAX_BYTES", 288)
-        for argv in (["bspace", "--code", "alamouti", "--rx", "3", "--seed",
-                      "1"],
-                     ["census", "--code", "alamouti", "--rx-max", "3",
-                      "--trials", "2", "--seed", "1"]):
+        for argv, _, nbytes in (p.values for p in self.CHANNEL_DRAWS):
+            monkeypatch.setattr(estimator, "MAX_BYTES", nbytes)
             status, captured = self.run_quiet(argv, capsys)
             assert status == 0 and captured.err == ""
 
     def test_kyfan_matrix_above_the_budget(self, capsys, monkeypatch):
-        # five 20000 x 20000 float arrays: 16 GB, refused before the draw
+        # seven 20000 x 20000 float arrays: 22 GB, refused before the draw
         self.no_draws(monkeypatch)
         self.assert_one_error(
             ["kyfan", "--m", "20000", "--q", "1", "--seed", "1"], capsys,
-            "--m 20000 needs about 16000000000 bytes for five 20000 x 20000 "
-            "arrays, above the budget of 2147483648 bytes")
-        # 7327 is the largest m within the budget: it gets to the draw
+            "--m 20000 needs 22400000000 bytes, above the budget of "
+            "2147483648 bytes")
+        # 6192 is the largest m within the budget: it gets to the draw
         with pytest.raises(AssertionError, match="was drawn"):
-            main(["kyfan", "--m", "7327", "--q", "1", "--seed", "1"])
+            main(["kyfan", "--m", "6192", "--q", "1", "--seed", "1"])
         self.assert_one_error(
-            ["kyfan", "--m", "7328", "--q", "1", "--seed", "1"], capsys,
-            "above the budget of 2147483648 bytes")
+            ["kyfan", "--m", "6193", "--q", "1", "--seed", "1"], capsys,
+            "--m 6193 needs 2147781944 bytes, above the budget of 2147483648 "
+            "bytes")
 
     def test_kyfan_matrix_at_the_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_BYTES", 5 * 8 * 6 * 6)
+        monkeypatch.setattr(estimator, "MAX_BYTES", 7 * 8 * 6 * 6)
         status, captured = self.run_quiet(
             ["kyfan", "--m", "6", "--q", "3", "--seed", "1", "--samples",
              "100"], capsys)
         assert status == 0 and captured.err == ""
-        monkeypatch.setattr(cli, "MAX_BYTES", 5 * 8 * 6 * 6 - 1)
+        monkeypatch.setattr(estimator, "MAX_BYTES", 7 * 8 * 6 * 6 - 1)
         self.assert_one_error(
             ["kyfan", "--m", "6", "--q", "3", "--seed", "1"], capsys,
-            "--m 6 needs about 1440 bytes for five 6 x 6 arrays, above the "
-            "budget of 1439 bytes")
+            "--m 6 needs 2016 bytes, above the budget of 2015 bytes")
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--code", "alamouti", "--rx", "64", "--blocks", "1",
+         "--sigma2", "0.1", "--seed", "1"],
+        ["estimate", "--code", "alamouti", "--rx", "1", "--blocks", "1000",
+         "--sigma2", "0.1", "--seed", "1"],
+        ["bspace", "--code", "alamouti", "--rx", "128", "--seed", "1"],
+        ["census", "--code", "alamouti", "--rx-max", "1", "--trials", "1000",
+         "--seed", "1"],
+        ["kyfan", "--m", "64", "--q", "1", "--seed", "1"],
+    ], ids=["covariance", "blocks", "bspace", "census", "kyfan"])
+    def test_one_name_sets_every_budget(self, argv, capsys, monkeypatch):
+        # each line holds over 10**4 bytes, far under the real budget
+        monkeypatch.setattr(estimator, "MAX_BYTES", 10 ** 4)
+        self.no_draws(monkeypatch)
+        self.assert_one_error(argv, capsys,
+                              "bytes, above the budget of 10000 bytes")
 
     @pytest.mark.parametrize("q", ["0", "5"])
     def test_kyfan_column_count_out_of_range(self, q, capsys, monkeypatch):
@@ -701,8 +762,9 @@ class TestHostileInput:
         # before anything is drawn
         pytest.param(["census", "--code", "scalar", "--rx-max", "1",
                       "--trials", "1000000000000000000", "--seed", "1"],
-                     "need 16000000000000000000 bytes of per-trial results, "
-                     "above the budget of 2147483648 bytes", id="census"),
+                     "--rx-max 1 --trials 1000000000000000000 needs "
+                     "16000000000000000048 bytes, above the budget of "
+                     "2147483648 bytes", id="census"),
         # its 8e18-byte draw is refused against the budget before it is made
         pytest.param(["kyfan", "--m", "1000000000", "--q", "1", "--seed", "1"],
                      "above the budget of 2147483648 bytes", id="kyfan"),

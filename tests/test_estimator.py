@@ -156,7 +156,7 @@ class TestSimulate:
         code = builtin_code("alamouti")
         cm = (ConstellationModel.iid_pm1(code.K) if kind == "iid-uniform-pm1"
               else ConstellationModel.gaussian(code.K))
-        rows = estimator.CHUNK_NUMBERS // realify(code, M).block_rows
+        rows = estimator.NOISE_CHUNK_NUMBERS // realify(code, M).block_rows
         J = chunks * rows + extra
         cfg = SimulationConfig(code, M, cm, J, 0.3, 11)
         got, want = simulate(cfg), simulate_oneshot(cfg)
@@ -189,25 +189,25 @@ class TestSimulate:
             draw_channel(code.N, M, rng)
 
     def test_covariance_budget(self, monkeypatch):
-        # alamouti, L = 2: a (4M, 4M) covariance of 128 M^2 bytes
+        # alamouti (L = 2, K = 4) at J = 1: blocks, symbols and a (4M, 4M)
+        # covariance of 8 (4M + 4 + 16 M^2) bytes, 1280 at M = 3
         code = builtin_code("alamouti")
         cm = ConstellationModel.iid_pm1(code.K)
-        monkeypatch.setattr(estimator, "MAX_BYTES", 128 * 9)
+        monkeypatch.setattr(estimator, "MAX_BYTES", 1280)
         assert SimulationConfig(code, 3, cm, 1, 0.0, 1).M == 3
-        with pytest.raises(ValueError, match=r"^4 receive antennas need a "
-                           r"16 x 16 covariance of 2048 bytes, above the "
-                           r"budget of 1152 bytes$"):
+        with pytest.raises(ValueError, match=r"^--rx 4 --blocks 1 needs 2208 "
+                           r"bytes, above the budget of 1280 bytes$"):
             SimulationConfig(code, 4, cm, 1, 0.0, 1)
 
     def test_received_block_budget(self, monkeypatch):
-        # alamouti at M = 2: J blocks of 2ML = 8 floats, 64 J bytes
+        # alamouti at M = 2: J blocks of 2ML = 8 floats, J symbols of K = 4
+        # and an 8 x 8 covariance, 96 J + 512 bytes
         code = builtin_code("alamouti")
         cm = ConstellationModel.iid_pm1(code.K)
-        monkeypatch.setattr(estimator, "MAX_BYTES", 64 * 10)
+        monkeypatch.setattr(estimator, "MAX_BYTES", 96 * 10 + 512)
         assert SimulationConfig(code, 2, cm, 10, 0.0, 1).J == 10
-        with pytest.raises(ValueError, match=r"^11 blocks need a 11 x 8 array "
-                           r"of received blocks of 704 bytes, above the "
-                           r"budget of 640 bytes$"):
+        with pytest.raises(ValueError, match=r"^--rx 2 --blocks 11 needs 1568 "
+                           r"bytes, above the budget of 1472 bytes$"):
             SimulationConfig(code, 2, cm, 11, 0.0, 1)
 
 

@@ -20,23 +20,25 @@ MOVED_FROM_CI = {
     "--seed 1": 1,
 }
 
-# Command lines at either side of the channel-draw budget that bounds
-# bspace and the census, each with the exit status it requires.
+# Command lines at either side of the budget on bspace's channel draw,
+# each with the exit status it requires.
 CHANNEL_BUDGET = {
     "bspace --code alamouti --rx 1000000 --seed 1 --json s.json": 0,
     "bspace --code alamouti --rx 22369622 --seed 1": 1,
 }
 
-# Command lines whose result arrays exceed the memory budget, each with
-# the one error line it must print before anything is drawn.
+# Command lines whose arrays exceed the memory budget, each with the one
+# error line, naming the flags, the bytes and the budget, that it must
+# print before anything is drawn.
 RESULT_BUDGET = {
     "estimate --code alamouti --rx 2 --blocks 10000000000 --sigma2 0.01 "
-    "--seed 1": "error: 10000000000 blocks need a 10000000000 x 8 array of "
-    "received blocks of 640000000000 bytes, above the budget of 2147483648 "
-    "bytes",
+    "--seed 1": "error: --rx 2 --blocks 10000000000 needs 960000000512 bytes, "
+    "above the budget of 2147483648 bytes",
     "census --code alamouti --rx-max 3 --trials 10000000000 --seed 1":
-    "error: 10000000000 trials at M = 1..3 need 480000000000 bytes of "
-    "per-trial results, above the budget of 2147483648 bytes",
+    "error: --rx-max 3 --trials 10000000000 needs 480000000288 bytes, above "
+    "the budget of 2147483648 bytes",
+    "kyfan --m 100000 --q 1 --seed 1": "error: --m 100000 needs 560000000000 "
+    "bytes, above the budget of 2147483648 bytes",
 }
 
 
@@ -89,8 +91,8 @@ def test_channel_budget_lines_keep_their_exit_status():
     [line] = [line for line, status in CHANNEL_BUDGET.items() if status]
     status, outputs = golden.run_line(line.split(), {})
     assert outputs["stderr"].decode().splitlines() == [
-        "error: 22369622 receive antennas need 2147483712 bytes to draw a "
-        "2 x 22369622 channel, above the budget of 2147483648 bytes"]
+        "error: --rx 22369622 needs 2147483712 bytes, above the budget of "
+        "2147483648 bytes"]
 
 
 @pytest.mark.parametrize("line", RESULT_BUDGET)

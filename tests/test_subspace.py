@@ -11,7 +11,7 @@ from ostbc_blind import (BUILTIN_CODE_NAMES, AmbiguityStructureError,
                          draw_channel, hr_basis, lift_to_channel,
                          principal_angles, realify, rho, spans_match,
                          subspace, unit_gammas, vec)
-from ostbc_blind.estimator import _check_channel_draw
+from ostbc_blind.estimator import _draw_bytes
 from ostbc_blind.gamma import _channel_kernel_matrices
 
 from oracles import (K2_MIXED_JSON, P0_JSON, exact_channel_dim, gamma_sums,
@@ -186,12 +186,11 @@ class TestComputeBspace:
 class TestKernelBudget:
     def test_largest_antenna_count(self):
         # N = 2: the draw peaks at 3 * 16 * 2 = 96 bytes per antenna
-        assert _check_channel_draw(2, 22369621) == 2147483616
+        assert _draw_bytes(2, 22369621) == 2147483616
         with pytest.raises(ValueError, match=(
-                r"^22369622 receive antennas need 2147483712 bytes to draw a "
-                r"2 x 22369622 channel, above the budget of 2147483648 "
-                r"bytes$")):
-            _check_channel_draw(2, 22369622)
+                r"^--rx 22369622 needs 2147483712 bytes, above the budget of "
+                r"2147483648 bytes$")):
+            draw_channel(2, 22369622, np.random.default_rng(0))
 
 
 FACTOR_CODES = {name: builtin_code(name) for name in BUILTIN_CODE_NAMES} | {
@@ -271,7 +270,7 @@ class TestKernelPassMemory:
     def test_whole_bspace_within_the_draw_check(self, name, capsys):
         # a channel holds one copy of its entries while the kernel pass
         # runs, so the command peaks at the 3 * 16 N M bytes that
-        # _check_channel_draw counts, plus a part that does not grow with M
+        # _draw_bytes counts, plus a part that does not grow with M
         code = builtin_code(name)
         M = 2 ** 16
         argv = ["bspace", "--code", name, "--rx", str(M), "--seed", "1"]
@@ -282,7 +281,7 @@ class TestKernelPassMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _check_channel_draw(code.N, M) + 2 ** 18, (
+        assert peak <= _draw_bytes(code.N, M) + 2 ** 18, (
             peak / (16 * code.N * M))
 
 
