@@ -37,10 +37,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-#: Numbers per formatted chunk of an array: the JSON and CSV writers hold
-#: the text and the work arrays of one chunk at a time, whatever the length.
-CHUNK_NUMBERS = 8192
-
 _SPLIT = 134217729.0                        # 2^27 + 1, Veltkamp's constant
 _LOG10_2 = 0.30102999566398120
 _MANTISSA = np.uint64((1 << 52) - 1)

@@ -16,8 +16,7 @@ class Record:
     runs once the fields are set, and may replace a field through
     ``object.__setattr__``. Assigning or deleting an attribute raises
     :class:`AttributeError`. ``repr`` leaves out the fields named in
-    ``_hidden``; two records are equal when they are of one class and
-    their fields are equal.
+    ``_hidden``.
     """
 
     _fields = ()
@@ -61,14 +60,3 @@ class Record:
         shown = ", ".join(f"{name}={getattr(self, name)!r}"
                           for name in self._fields if name not in self._hidden)
         return f"{type(self).__qualname__}({shown})"
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())

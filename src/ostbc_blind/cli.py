@@ -12,9 +12,9 @@ import sys
 
 import numpy as np
 
-from ._floattext import CHUNK_NUMBERS, float_text
+from ._floattext import float_text
 from .census import CensusError, find_mstar, write_census_csv
-from .estimator import (ConstellationModel, ConvergenceError,
+from .estimator import (CHUNK_NUMBERS, ConstellationModel, ConvergenceError,
                         SimulationConfig, _check_budget, draw_channel,
                         run_estimate)
 from .kyfan import (MAX_SAMPLES, KyFanError, SpectrumSpec,
@@ -228,8 +228,9 @@ def cmd_kyfan(args):
         raise ValueError(f"--m must be a positive matrix size, got {args.m}")
     if not 1 <= args.q <= args.m:
         raise ValueError(f"q must lie in [1, {args.m}], got {args.q}")
-    # seven m x m arrays: eigh's input, copy and workspace beside P and the
-    # eigenvectors peaked at 6.2-6.5 of them (RSS, m = 1500 and 2500, any q)
+    # seven m x m arrays: eigh's LAPACK copy and workspace beside P and the
+    # eigenvectors peaked at 5.1-5.3 of them (RSS, m = 1500 and 2500, q < m);
+    # the sample check at q = m, at 6.3-7.4
     _check_budget(7 * 8 * args.m * args.m, f"--m {args.m}")
     rng = np.random.default_rng([args.seed, 0])
     P = rng.standard_normal((args.m, args.m))

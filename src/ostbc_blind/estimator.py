@@ -138,12 +138,18 @@ def _draw_bytes(N, M):
 
 
 MAX_BYTES = 2 ** 31   # what one command may hold at once
+#: Numbers per row chunk of a stream: the noise pass of :func:`simulate`
+#: and the JSON and CSV writers hold one chunk beside their arrays.
+CHUNK_NUMBERS = 8192
 
 
 def _check_budget(nbytes, what):
     """ValueError when ``nbytes``, what a command given the flags ``what``
-    holds at once, exceed the budget. A count leaves out what grows with
-    no flag, such as the noise chunk of :data:`NOISE_CHUNK_NUMBERS`."""
+    holds at once, exceed the budget. Left out of each count: estimate's
+    row chunks of :data:`CHUNK_NUMBERS` numbers and the 2ML x K p block
+    products of :func:`estimate_channel`, which grow with ``--rx``;
+    bspace's kernel pass, of at most 2LK min(M, N) rows; one census pass,
+    bounded by :data:`~.census.CHUNK_BYTES`; one kyfan sample batch."""
     if nbytes > MAX_BYTES:
         raise ValueError(f"{what} needs {nbytes} bytes, above the budget of "
                          f"{MAX_BYTES} bytes")
@@ -158,10 +164,6 @@ def theoretical_R(rc, h0, cm, sigma2):
     are the signal-space eigenvectors.
     """
     _check_noise_variance(sigma2)
-    h0 = np.asarray(h0, dtype=float)
-    if h0.shape != (rc.channel_len,):
-        raise ValueError(f"channel vector has shape {h0.shape}, "
-                         f"expected ({rc.channel_len},)")
     A = build_A(rc, h0)
     R = A @ cm.Sigma @ A.T + (sigma2 / 2) * np.eye(rc.block_rows)
     return (R + R.T) / 2
@@ -191,16 +193,11 @@ def simulate(config):
     truth = config.constellation.draw(rng, config.J)
     blocks = truth @ A.T
     scale = np.sqrt(config.sigma2 / 2)
-    step = max(1, NOISE_CHUNK_NUMBERS // rc.block_rows)
+    step = max(1, CHUNK_NUMBERS // rc.block_rows)
     for start in range(0, config.J, step):
         part = blocks[start:start + step]
         part += rng.normal(0.0, scale, size=part.shape)
     return blocks, truth, channel
-
-
-#: Numbers per row chunk of the in-place noise pass of :func:`simulate`,
-#: which holds one chunk beside its arrays.
-NOISE_CHUNK_NUMBERS = 1 << 16
 
 
 def sample_R(blocks):
@@ -323,17 +320,13 @@ def estimate_channel(rc, R):
 def decode(rc, h_hat, y):
     """Decode received block(s) with a channel estimate: A(h)^T y / |h|^2.
 
-    Accepts a single block of shape (2ML,) or a batch (J, 2ML).
+    One product takes a block (2ML,) to (K,) and a batch (J, 2ML) to (J, K).
     """
     h_hat = np.asarray(h_hat, dtype=float)
     n2 = float(np.dot(h_hat, h_hat))
     if n2 == 0.0:
         raise ValueError("zero channel estimate is rejected")
-    A = build_A(rc, h_hat)
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        return A.T @ y / n2
-    return y @ A / n2
+    return np.asarray(y, dtype=float) @ build_A(rc, h_hat) / n2
 
 
 def ambiguity_matrix(rc, h0, h_hat):

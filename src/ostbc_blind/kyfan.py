@@ -25,6 +25,8 @@ class SpectrumSpec(Record):
     ``q_plus`` counts those equal to it or above (ties resolved with the
     degeneracy tolerance ``degeneracy_tol``, 1e-8 times the largest
     eigenvalue magnitude), so ``0 <= q_minus < q <= q_plus <= m``.
+    ``from_matrix`` checks P symmetric within 1e-12 and hands it to
+    ``eigh``, which reads one triangle, with no symmetrised copy.
     """
 
     P: np.ndarray
@@ -52,7 +54,7 @@ class SpectrumSpec(Record):
             raise ValueError("P must be symmetric")
         if not 1 <= q <= m:
             raise ValueError(f"q must lie in [1, {m}], got {q}")
-        lam, V = np.linalg.eigh((P + P.T) / 2)
+        lam, V = np.linalg.eigh(P)
         lam, V = lam[::-1].copy(), V[:, ::-1].copy()
         tol = 1e-8 * (np.max(np.abs(lam)) if m else 0.0)
         lam_q = lam[q - 1]

@@ -203,9 +203,8 @@ def lift_to_channel(rc, h0, B):
 
 
 class HurwitzRadonBasis(Record):
-    """Identity plus an anticommuting family of skew square roots of -I."""
+    """The skew family that, with the identity, spans an ambiguity space."""
 
-    identity: np.ndarray
     family: tuple
     max_skew_residual: float
     max_involution_residual: float
@@ -261,7 +260,7 @@ def hr_basis(sub):
         invol = max(invol, np.linalg.norm(a @ a + eye))
         for b in family[i + 1:]:
             anti = max(anti, np.linalg.norm(a @ b + b @ a))
-    return HurwitzRadonBasis(eye, tuple(family), float(skew), float(invol),
+    return HurwitzRadonBasis(tuple(family), float(skew), float(invol),
                              float(anti))
 
 

@@ -148,11 +148,14 @@ class TestTheoryChecks:
     """Each structural check of find_mstar fails the run on its own."""
 
     def test_dimension_below_invariant_raises(self, alamouti, monkeypatch):
-        patch_at(monkeypatch, lambda d, b: (d - 1, b[:, :-1]), (2,))
+        # a B(H) smaller than B* cannot contain it: the containment check
+        # fails the pass at pi/2
+        patch_at(monkeypatch, lambda d, b: (d - 1, b[:, :-1]), (1,))
         with pytest.raises(CensusError,
-                           match=r"^alamouti M=2: dimension 3 fell below the "
-                                 r"invariant dimension 4$"):
-            find_mstar(alamouti, 2, 5, seed=0)
+                           match=r"^alamouti M=1 trial 0: channel space misses "
+                                 r"the invariant space by 1\.571e\+00 rad, "
+                                 r"above 1e-08$"):
+            find_mstar(alamouti, 1, 5, seed=0)
 
     def test_dimension_increase_raises(self, monkeypatch):
         patch_at(monkeypatch, grown, (2,))

@@ -156,7 +156,7 @@ class TestSimulate:
         code = builtin_code("alamouti")
         cm = (ConstellationModel.iid_pm1(code.K) if kind == "iid-uniform-pm1"
               else ConstellationModel.gaussian(code.K))
-        rows = estimator.NOISE_CHUNK_NUMBERS // realify(code, M).block_rows
+        rows = estimator.CHUNK_NUMBERS // realify(code, M).block_rows
         J = chunks * rows + extra
         cfg = SimulationConfig(code, M, cm, J, 0.3, 11)
         got, want = simulate(cfg), simulate_oneshot(cfg)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ostbc_blind._floattext import CHUNK_NUMBERS, float_text
+from ostbc_blind._floattext import float_text
+from ostbc_blind.estimator import CHUNK_NUMBERS
 
 
 def assert_repr_text(values, chunk=1 << 16):
